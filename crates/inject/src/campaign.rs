@@ -18,7 +18,7 @@
 //! count.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 use tfsim_check::Rng;
@@ -32,6 +32,7 @@ use tfsim_obs::{
 use tfsim_uarch::PipelineConfig;
 use tfsim_workloads::Workload;
 
+use crate::golden::GoldenTimeline;
 use crate::journal::{CampaignJournal, JournaledTask};
 use crate::trial::{
     warm_pipeline, FailureMode, Outcome, StartPoint, TrialFault, TrialRecord, TrialSpec, TrialTrace,
@@ -175,9 +176,15 @@ impl CampaignConfig {
         }
     }
 
-    /// Monitoring horizon needed from the latest start point.
-    fn horizon(&self) -> u64 {
+    /// Golden cycles each start point needs after its checkpoint.
+    pub(crate) fn horizon(&self) -> u64 {
         self.inject_window + self.monitor_cycles
+    }
+
+    /// Start points' offsets from the first one (which sits at
+    /// `warmup_cycles`), ascending.
+    pub(crate) fn start_offsets(&self) -> Vec<u64> {
+        (0..self.start_points as u64).map(|k| self.spacing_cycles * k).collect()
     }
 }
 
@@ -564,30 +571,65 @@ fn run_engine(
     (batch, prune)
 }
 
-/// Executes one (benchmark, start point) task from scratch — warm-up,
-/// golden precomputation, the full drawn trial plan — and returns it in
-/// journal form. This is the distributed worker's unit of work: the
-/// setup and draw order are the same as the in-process pool's, and the
-/// engine dispatch *is* the in-process pool's ([`run_engine`]), so the
-/// returned task is byte-identical to what a local run would journal.
-/// Always traced (the wire carries traces, like the journal does).
-pub(crate) fn execute_task(
+/// The golden timeline every start point of `workload` views: one TLB
+/// probe, one warm-up to the first start point, one golden pass over the
+/// union of the campaign's windows.
+pub(crate) fn campaign_timeline(config: &CampaignConfig, workload: &Workload) -> GoldenTimeline {
+    let program: Program = workload.build(config.scale);
+    let warmed = warm_pipeline(&program, config.pipeline, config.warmup_cycles);
+    GoldenTimeline::build(warmed, &config.start_offsets(), config.horizon(), config.mask)
+}
+
+/// The order tasks are handed out in, first task first: benchmark-major,
+/// so a benchmark's golden timeline is built once and dropped after its
+/// last task before the next benchmark's is built (the in-process pool
+/// and the distributed lease table both use it). Tasks in `done` (already
+/// journaled) are left out.
+pub(crate) fn task_order(
+    benchmarks: usize,
+    start_points: u32,
+    done: &std::collections::BTreeSet<(usize, u32)>,
+) -> Vec<(usize, u32)> {
+    (0..benchmarks)
+        .flat_map(|b| (0..start_points).map(move |s| (b, s)))
+        .filter(|t| !done.contains(t))
+        .collect()
+}
+
+/// Draws a task's trial plan: target then cycle per trial (the exact draw
+/// order of the historical per-trial loop, so seeds reproduce the same
+/// campaigns). Every (benchmark, start point) task owns PRNG substream
+/// `bench << 32 | start_point` of the campaign seed, so the plan is a pure
+/// function of the config — not of thread count or work-stealing order.
+fn draw_plan(
     config: &CampaignConfig,
-    workload: &Workload,
+    sp: &StartPoint,
     bench: usize,
     start_point: u32,
-) -> JournaledTask {
-    let program: Program = workload.build(config.scale);
-    let warm = config.warmup_cycles + config.spacing_cycles * start_point as u64;
-    let pipeline = warm_pipeline(&program, config.pipeline, warm);
-    let sp = StartPoint::prepare(&pipeline, config.horizon(), config.mask);
+) -> Vec<TrialSpec> {
     let mut rng = Rng::from_seed_stream(config.seed, (bench as u64) << 32 | start_point as u64);
-    let specs: Vec<TrialSpec> = (0..config.trials_per_start_point)
+    (0..config.trials_per_start_point)
         .map(|_| TrialSpec {
             target: rng.gen_range(0..sp.bit_count()),
             inject_cycle: rng.gen_range(0..config.inject_window),
         })
-        .collect();
+        .collect()
+}
+
+/// Executes one (benchmark, start point) task — the full drawn trial plan
+/// on the benchmark's golden timeline — and returns it in journal form.
+/// This is the distributed worker's unit of work: the view, the plan and
+/// the engine dispatch ([`run_engine`]) are the in-process pool's, so the
+/// returned task is byte-identical to what a local run would journal.
+/// Always traced (the wire carries traces, like the journal does).
+pub(crate) fn execute_task(
+    config: &CampaignConfig,
+    golden: &Arc<GoldenTimeline>,
+    bench: usize,
+    start_point: u32,
+) -> JournaledTask {
+    let sp = golden.start_point(start_point as usize);
+    let specs = draw_plan(config, &sp, bench, start_point);
     let shim = config
         .panic_shim
         .and_then(|(b, s, t)| (b == bench && s == start_point).then_some(t as usize));
@@ -627,8 +669,9 @@ pub fn run_campaign_observed(
 /// optional durable [`CampaignJournal`].
 ///
 /// With a journal, every completed (benchmark, start point) task is
-/// appended (and fsync'd) as it finishes, and tasks the journal already
-/// holds — from an interrupted earlier run resumed with
+/// appended (and fsync'd) in task order: a task that finishes before an
+/// earlier one waits for that one's line, so the file's bytes do not
+/// depend on the schedule. Tasks the journal already holds — from an interrupted earlier run resumed with
 /// [`CampaignJournal::resume`] — are replayed from it instead of being
 /// re-executed. Because each task's trial plan is a pure function of the
 /// seed (per-task PRNG substreams) and aggregation happens in canonical
@@ -665,6 +708,138 @@ pub fn run_campaign_with_tasks(
     run_campaign_core(config, workloads, obs, None, tasks)
 }
 
+/// A benchmark's golden timeline in the in-process pool.
+enum Golden {
+    /// Not built yet, or dropped after the benchmark's last task.
+    Absent,
+    /// A worker is building it; the benchmark's tasks wait for it.
+    Building,
+    Ready(Arc<GoldenTimeline>),
+}
+
+/// A task handed to a pool worker: `(benchmark, start point)`, with the
+/// benchmark's timeline when it is built, or the duty to build it.
+enum Claim<'a> {
+    Run(usize, u32, Arc<GoldenTimeline>),
+    Build(usize, u32, BuildGuard<'a>),
+}
+
+impl Claim<'_> {
+    fn task(&self) -> (usize, u32) {
+        match *self {
+            Claim::Run(b, s, _) | Claim::Build(b, s, _) => (b, s),
+        }
+    }
+}
+
+struct PoolState {
+    /// Tasks not yet claimed, in [`task_order`].
+    pending: Vec<(usize, u32)>,
+    golden: Vec<Golden>,
+    /// Claimed-or-pending tasks per benchmark not yet finished.
+    unfinished: Vec<usize>,
+}
+
+/// The in-process pool's work list. Workers take the first pending task
+/// whose benchmark's timeline is not being built by someone else; the
+/// first task of a benchmark builds it. With one thread that is strict
+/// benchmark-major order, so one timeline is alive at a time; with more,
+/// each worker builds at most one timeline at once and nobody waits while
+/// another benchmark has work. A timeline is dropped after its
+/// benchmark's last task. Results never depend on the schedule: every
+/// view of a timeline is the same whoever built it.
+struct GoldenPool {
+    state: Mutex<PoolState>,
+    published: Condvar,
+}
+
+impl GoldenPool {
+    fn new(tasks: Vec<(usize, u32)>, benchmarks: usize) -> GoldenPool {
+        let mut unfinished = vec![0; benchmarks];
+        for &(b, _) in &tasks {
+            unfinished[b] += 1;
+        }
+        GoldenPool {
+            state: Mutex::new(PoolState {
+                pending: tasks,
+                golden: (0..benchmarks).map(|_| Golden::Absent).collect(),
+                unfinished,
+            }),
+            published: Condvar::new(),
+        }
+    }
+
+    /// The next task, or `None` once the work list is empty. Blocks only
+    /// while every pending task waits on a timeline another worker is
+    /// building.
+    fn claim(&self) -> Option<Claim<'_>> {
+        let mut st = lock_recover(&self.state);
+        loop {
+            if st.pending.is_empty() {
+                return None;
+            }
+            let next =
+                st.pending.iter().position(|&(b, _)| !matches!(st.golden[b], Golden::Building));
+            let Some(i) = next else {
+                st = self.published.wait(st).unwrap_or_else(|e| e.into_inner());
+                continue;
+            };
+            let (b, s) = st.pending.remove(i);
+            return match &st.golden[b] {
+                Golden::Ready(golden) => Some(Claim::Run(b, s, Arc::clone(golden))),
+                Golden::Absent => {
+                    st.golden[b] = Golden::Building;
+                    Some(Claim::Build(b, s, BuildGuard { pool: self, bench: b, published: false }))
+                }
+                Golden::Building => unreachable!("skipped above"),
+            };
+        }
+    }
+
+    fn set(&self, bench: usize, golden: Golden) {
+        lock_recover(&self.state).golden[bench] = golden;
+        self.published.notify_all();
+    }
+
+    /// Records a finished task; drops the timeline after the benchmark's
+    /// last one.
+    fn finish(&self, bench: usize) {
+        let mut st = lock_recover(&self.state);
+        st.unfinished[bench] -= 1;
+        if st.unfinished[bench] == 0 {
+            st.golden[bench] = Golden::Absent;
+        }
+    }
+}
+
+/// A worker's duty to build one benchmark's timeline: publishing it wakes
+/// the benchmark's waiting tasks; dropping it unpublished (the build
+/// unwound) hands the build to the next claimant.
+struct BuildGuard<'a> {
+    pool: &'a GoldenPool,
+    bench: usize,
+    published: bool,
+}
+
+impl BuildGuard<'_> {
+    fn publish(mut self, golden: GoldenTimeline) -> Arc<GoldenTimeline> {
+        let golden = Arc::new(golden);
+        self.published = true;
+        self.pool.set(self.bench, Golden::Ready(Arc::clone(&golden)));
+        golden
+    }
+}
+
+impl Drop for BuildGuard<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            // Wake the waiters so none hangs on a build that will never
+            // finish; the scope re-raises the builder's panic at join.
+            self.pool.set(self.bench, Golden::Absent);
+        }
+    }
+}
+
 fn run_campaign_core(
     config: &CampaignConfig,
     workloads: &[Workload],
@@ -672,24 +847,16 @@ fn run_campaign_core(
     journal: Option<&CampaignJournal>,
     replayed: Vec<JournaledTask>,
 ) -> CampaignResult {
-    struct Task {
-        bench: usize,
-        start_point: u32,
-    }
     let done: std::collections::BTreeSet<(usize, u32)> =
         replayed.iter().map(|t| (t.bench, t.start_point)).collect();
-    let mut tasks: Vec<Task> = (0..workloads.len())
-        .flat_map(|b| (0..config.start_points).map(move |s| Task { bench: b, start_point: s }))
-        .filter(|t| !done.contains(&(t.bench, t.start_point)))
-        .collect();
-    // Workers take tasks with `pop()`, so order the list to serve the
-    // longest warm-ups (highest start point) first: scheduling the most
-    // expensive tasks early keeps the pool from stranding one worker on
-    // them at the tail. Aggregation is order-independent, so schedules
-    // cannot change results.
-    tasks.sort_by_key(|t| (t.start_point, std::cmp::Reverse(t.bench)));
+    let tasks = task_order(workloads.len(), config.start_points, &done);
     let task_count = (tasks.len() + replayed.len()) as u64;
-    let work = Mutex::new(tasks);
+    // Journaled tasks wait here to be appended in task order: the next
+    // task's rank, and finished tasks keyed by rank.
+    let rank: BTreeMap<(usize, u32), usize> =
+        tasks.iter().enumerate().map(|(i, &t)| (t, i)).collect();
+    let unjournaled = Mutex::new((0, BTreeMap::<usize, (JournaledTask, TaskOutput)>::new()));
+    let pool = GoldenPool::new(tasks, workloads.len());
 
     // Trace collection is active if anything downstream consumes it; the
     // untraced path must stay byte-for-byte the pre-telemetry machine code.
@@ -771,64 +938,52 @@ fn run_campaign_core(
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| loop {
-                let task = {
-                    let mut q = lock_recover(&work);
-                    match q.pop() {
-                        Some(t) => t,
-                        None => return,
-                    }
-                };
-                let w = &workloads[task.bench];
-                let program: Program = w.build(config.scale);
-                let warm = config.warmup_cycles + config.spacing_cycles * task.start_point as u64;
+            scope.spawn(|| while let Some(claim) = pool.claim() {
+                let (bench, start_point) = claim.task();
+                let w = &workloads[bench];
                 // Per-task span scratchpad: campaign → benchmark → spN →
                 // {warmup, golden, trials, journal}, merged into the shared
-                // profiler once, after the task.
+                // profiler once, after the task. Every task opens the same
+                // spans; only the task that builds the benchmark's shared
+                // timeline does work in `warmup` and `golden`.
                 let mut spans = obs.spans.map(|_| {
                     let mut ls = LocalSpans::new();
                     ls.enter("campaign");
                     ls.enter(w.name);
-                    ls.enter(&format!("sp{}", task.start_point));
+                    ls.enter(&format!("sp{start_point}"));
                     ls
                 });
                 if let Some(ls) = spans.as_mut() {
                     ls.enter("warmup");
                 }
                 let t0 = traced.then(Instant::now);
-                let pipeline = warm_pipeline(&program, config.pipeline, warm);
+                let warmed = matches!(claim, Claim::Build(..)).then(|| {
+                    warm_pipeline(&w.build(config.scale), config.pipeline, config.warmup_cycles)
+                });
                 let t1 = traced.then(Instant::now);
                 if let Some(ls) = spans.as_mut() {
                     ls.exit();
                     ls.enter("golden");
                 }
-                let sp = StartPoint::prepare(&pipeline, config.horizon(), config.mask);
+                let golden = match claim {
+                    Claim::Run(_, _, golden) => golden,
+                    Claim::Build(_, _, guard) => guard.publish(GoldenTimeline::build(
+                        warmed.expect("warmed above"),
+                        &config.start_offsets(),
+                        config.horizon(),
+                        config.mask,
+                    )),
+                };
+                let sp = golden.start_point(start_point as usize);
                 let t2 = traced.then(Instant::now);
                 if let Some(ls) = spans.as_mut() {
                     ls.exit();
                 }
 
-                // Every (benchmark, start point) task owns PRNG substream
-                // `bench << 32 | start_point` of the campaign seed, so the
-                // trial sequence is a pure function of the config — not of
-                // thread count or work-stealing order.
-                let mut rng = Rng::from_seed_stream(
-                    config.seed,
-                    (task.bench as u64) << 32 | task.start_point as u64,
-                );
-                // Draw the whole trial plan first (target then cycle per
-                // trial — the exact draw order of the historical per-trial
-                // loop, so seeds reproduce the same campaigns), then run it
-                // through the batched snapshot-ladder path.
-                let specs: Vec<TrialSpec> = (0..config.trials_per_start_point)
-                    .map(|_| TrialSpec {
-                        target: rng.gen_range(0..sp.bit_count()),
-                        inject_cycle: rng.gen_range(0..config.inject_window),
-                    })
-                    .collect();
-                let shim = config.panic_shim.and_then(|(b, s, t)| {
-                    (b == task.bench && s == task.start_point).then_some(t as usize)
-                });
+                let specs = draw_plan(config, &sp, bench, start_point);
+                let shim = config
+                    .panic_shim
+                    .and_then(|(b, s, t)| (b == bench && s == start_point).then_some(t as usize));
                 if let Some(ls) = spans.as_mut() {
                     ls.enter("trials");
                 }
@@ -841,6 +996,7 @@ fn run_campaign_core(
                     ls.record("ride", batch.ride_ns, 1);
                     ls.record("classify", batch.classify_ns, 1);
                     ls.record("prune", batch.prune_ns, 1);
+                    ls.record("footprint", batch.footprint_ns, 1);
                     ls.exit();
                 }
                 let (records, traces, deeps, faults, advance_ns, monitor_ns) = (
@@ -889,42 +1045,19 @@ fn run_campaign_core(
                     p.add(1);
                 }
 
-                let scatter = scatter_of(task.bench, &records);
-                if let Some(ls) = spans.as_mut() {
-                    ls.enter("journal");
-                }
-                if let Some(j) = journal {
-                    // Durability before visibility: the task joins the
-                    // in-memory aggregation only after its journal line is
-                    // on disk (a crash between the two re-runs the task,
-                    // which is idempotent). Append failures must not kill
-                    // a campaign that can still finish in memory.
-                    let entry = JournaledTask {
-                        bench: task.bench,
-                        start_point: task.start_point,
-                        eligible_bits: sp.bit_count(),
-                        specs: specs.clone(),
-                        records: records.clone(),
-                        traces: traces.clone(),
-                        faults: faults.clone(),
-                    };
-                    if let Err(e) = j.append_task(&entry) {
-                        eprintln!(
-                            "warning: journal append failed for task ({}, {}): {e}",
-                            task.bench, task.start_point
-                        );
-                    }
-                }
-                if let Some((ls, profiler)) = spans.as_mut().zip(obs.spans) {
-                    ls.exit(); // journal
-                    ls.exit(); // spN
-                    ls.exit(); // benchmark
-                    ls.exit(); // campaign
-                    profiler.absorb(ls);
-                }
-                lock_recover(&outputs).push(TaskOutput {
-                    bench: task.bench,
-                    start_point: task.start_point,
+                let scatter = scatter_of(bench, &records);
+                let entry = journal.map(|_| JournaledTask {
+                    bench,
+                    start_point,
+                    eligible_bits: sp.bit_count(),
+                    specs: specs.clone(),
+                    records: records.clone(),
+                    traces: traces.clone(),
+                    faults: faults.clone(),
+                });
+                let out = TaskOutput {
+                    bench,
+                    start_point,
                     records,
                     scatter,
                     eligible_bits: sp.bit_count(),
@@ -937,7 +1070,45 @@ fn run_campaign_core(
                     prepare_ns,
                     advance_ns,
                     monitor_ns,
-                });
+                };
+                if let Some(ls) = spans.as_mut() {
+                    ls.enter("journal");
+                }
+                match journal.zip(entry) {
+                    // Durability before visibility, in task order: a task
+                    // joins the in-memory aggregation only after its line
+                    // is on disk, and lines go out in task order whatever
+                    // order the workers finish in, so a journal's bytes do
+                    // not depend on the schedule. A task finished ahead of
+                    // an earlier one waits here (a crash before its line
+                    // is written re-runs it, which is idempotent). Append
+                    // failures must not kill a campaign that can still
+                    // finish in memory.
+                    Some((j, entry)) => {
+                        let mut queue = lock_recover(&unjournaled);
+                        let (next, held) = &mut *queue;
+                        held.insert(rank[&(bench, start_point)], (entry, out));
+                        while let Some((entry, out)) = held.remove(next) {
+                            if let Err(e) = j.append_task(&entry) {
+                                eprintln!(
+                                    "warning: journal append failed for task ({}, {}): {e}",
+                                    entry.bench, entry.start_point
+                                );
+                            }
+                            lock_recover(&outputs).push(out);
+                            *next += 1;
+                        }
+                    }
+                    None => lock_recover(&outputs).push(out),
+                }
+                if let Some((ls, profiler)) = spans.as_mut().zip(obs.spans) {
+                    ls.exit(); // journal
+                    ls.exit(); // spN
+                    ls.exit(); // benchmark
+                    ls.exit(); // campaign
+                    profiler.absorb(ls);
+                }
+                pool.finish(bench);
             });
         }
     });

@@ -79,19 +79,19 @@ pub(crate) struct Footprint {
 impl Footprint {
     /// Replays the golden run once with the tier's access tracking on.
     ///
-    /// The walk covers exactly the steps `StartPoint::prepare` executed:
-    /// it stops once the golden machine halts (stepping a halted machine
-    /// is a no-op and logs nothing).
+    /// The walk covers exactly the start point's golden window: it stops
+    /// once the golden machine halts (stepping a halted machine is a
+    /// no-op and logs nothing).
     pub(crate) fn build(sp: &StartPoint, tier: Tier) -> Footprint {
-        let horizon = sp.fps.len() as u64 - 1;
-        let mut golden = sp.checkpoint.clone();
+        let horizon = sp.horizon();
+        let mut golden = sp.checkpoint().clone();
         match tier {
             Tier::Core => golden.set_access_tracking(true),
             Tier::Extended => golden.set_access_tracking_extended(true),
         }
         let mut fp = Footprint {
             timelines: vec![Vec::new(); UnitId::COUNT],
-            percycle: vec![CycleAgg::default(); sp.fps.len()],
+            percycle: vec![CycleAgg::default(); sp.horizon() as usize + 1],
         };
         for step in 1..=horizon {
             if !golden.running() {
@@ -310,7 +310,7 @@ mod tests {
     #[test]
     fn resolver_maps_targets_to_spans_exhaustively() {
         let sp = start_point(PipelineConfig::baseline());
-        let r = Resolver::build(&sp.checkpoint, InjectionMask::LatchesAndRams);
+        let r = Resolver::build(sp.checkpoint(), InjectionMask::LatchesAndRams);
         // Every eligible bit resolves to a span containing it; the bit one
         // past the end resolves to nothing.
         let bits = sp.bit_count();
@@ -379,7 +379,7 @@ mod tests {
             for (ord, tl) in ext.timelines[unit.index()].iter().enumerate() {
                 if !tl.is_empty() {
                     assert!(
-                        Tier::Extended.tracked(&sp.checkpoint, unit, ord as u32),
+                        Tier::Extended.tracked(sp.checkpoint(), unit, ord as u32),
                         "{unit:?} ord {ord} has events but is not extended-tracked"
                     );
                 }

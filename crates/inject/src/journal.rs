@@ -6,7 +6,8 @@
 //! the census without re-running it. Every append is flushed and
 //! `sync_data`'d before the task becomes visible to the in-memory
 //! aggregation, so the journal never claims work the disk has not seen
-//! ("durability before visibility").
+//! ("durability before visibility"). The in-process campaign appends
+//! tasks in task order, whatever order its workers finish them in.
 //!
 //! Recovery rule for a file cut short by a crash (or by the resume
 //! property test, which truncates at *every* byte boundary):

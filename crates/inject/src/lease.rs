@@ -70,8 +70,8 @@ pub struct LeaseStats {
 /// The coordinator's lease table: pending tasks, live leases, completions.
 pub struct LeaseTable {
     /// Tasks not yet completed and not currently leased, in grant order.
-    /// Grant order is popped from the back (longest-first scheduling, like
-    /// the in-process worker pool).
+    /// Grant order is popped from the back (the coordinator queues tasks
+    /// benchmark-major, like the in-process worker pool).
     pending: Vec<TaskId>,
     /// Live leases keyed by token. Tokens are never reused, so a stale
     /// token can only miss, never alias a newer lease.
@@ -207,7 +207,7 @@ mod tests {
     use super::*;
 
     fn table(n: usize, lease_ms: u64) -> LeaseTable {
-        // Tasks (0,0)..(0,n) granted back-to-front like the campaign pool.
+        // Tasks (0,0)..(0,n), granted back-to-front.
         LeaseTable::new((0..n as u64).map(|sp| (0, sp)).collect(), lease_ms)
     }
 

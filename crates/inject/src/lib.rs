@@ -6,11 +6,13 @@
 //!
 //! 1. **Warm-up and checkpoints.** A workload runs on the pipeline model;
 //!    checkpoints (clones of the warmed machine) become *start points*.
-//! 2. **Golden precomputation.** From each start point the fault-free
-//!    machine runs for the monitoring horizon, recording a per-cycle
-//!    128-bit fingerprint of *every* state bit, the retirement trace, and
-//!    the per-cycle count of in-flight instructions that eventually commit
-//!    (for the Figure 6 utilization analysis).
+//! 2. **Golden precomputation.** The fault-free machine runs once per
+//!    benchmark over the union of its start points' monitoring horizons,
+//!    recording a per-cycle 128-bit fingerprint of *every* state bit, the
+//!    retirement trace, and the commit spans behind the per-cycle count of
+//!    in-flight instructions that eventually commit (for the Figure 6
+//!    utilization analysis). Each start point views its window of this
+//!    shared golden timeline.
 //! 3. **Trials.** Each trial clones the checkpoint, flips one uniformly
 //!    chosen eligible state bit at a uniformly chosen cycle, and monitors
 //!    up to 10,000 cycles, classifying the outcome as:
@@ -54,6 +56,7 @@
 
 mod campaign;
 mod footprint;
+mod golden;
 mod journal;
 mod lease;
 mod pruner;

@@ -125,7 +125,7 @@ impl StartPoint {
         if !running_at(inject) {
             return Prefix::Decided;
         }
-        let mut matched = self.instret[inject as usize] as usize;
+        let mut matched = self.instret_at(inject) as usize;
         let mut last_retire = inject;
         let mut flushes = 0u32;
         for step in (inject + 1)..=end {
@@ -142,7 +142,7 @@ impl StartPoint {
                 last_retire = step;
             }
             for _ in 0..g.retired {
-                if matched >= self.records.len() {
+                if matched >= self.records().len() {
                     return Prefix::Decided;
                 }
                 matched += 1;
@@ -234,15 +234,18 @@ impl StartPoint {
         // run before any trial, outside the monitor bracket.
         let prune_t0 = TRACED.then(std::time::Instant::now);
         let fp = self.extended_footprint();
-        let resolver = Resolver::build(&self.checkpoint, mask);
-        let last = self.fps.len() as u64 - 1;
+        // The lazy footprint build is its own layer (`footprint_ns`), not
+        // analysis time.
+        let mut footprint_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        let resolver = Resolver::build(self.checkpoint(), mask);
+        let last = self.horizon();
         let horizon_of = |c: u64| last.min(c + monitor);
 
         // Pass 1: per-site disposition from the extended footprint.
         let mut plan: Vec<Plan> = Vec::with_capacity(specs.len());
         let mut classes: BTreeMap<ClassKey, Vec<usize>> = BTreeMap::new();
         for (i, spec) in specs.iter().enumerate() {
-            if panic_shim == Some(i) || spec.inject_cycle as usize >= self.fps.len() {
+            if panic_shim == Some(i) || spec.inject_cycle > self.horizon() {
                 plan.push(Plan::Simulate);
                 continue;
             }
@@ -252,7 +255,7 @@ impl StartPoint {
             };
             let tracked = span
                 .unit
-                .is_some_and(|u| Tier::Extended.tracked(&self.checkpoint, u, span.unit_ord));
+                .is_some_and(|u| Tier::Extended.tracked(self.checkpoint(), u, span.unit_ord));
             if !tracked {
                 plan.push(Plan::Simulate);
                 continue;
@@ -315,7 +318,8 @@ impl StartPoint {
             }
         }
 
-        let prune_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        let prune_ns =
+            prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64).saturating_sub(footprint_ns);
 
         // Delegate everything simulated to the sliced engine in one batch.
         // Always traced internally: representative detect cycles drive the
@@ -340,6 +344,7 @@ impl StartPoint {
         let mut monitor_ns = sub.monitor_ns;
         let mut ride_ns = sub.ride_ns;
         let mut classify_ns = sub.classify_ns;
+        footprint_ns += sub.footprint_ns;
 
         // Scatter the delegate's outputs back to original indices.
         let mut sub_out: Vec<Option<(TrialRecord, TrialTrace, DeepTrace)>> =
@@ -399,6 +404,7 @@ impl StartPoint {
             monitor_ns += sub2.monitor_ns;
             ride_ns += sub2.ride_ns;
             classify_ns += sub2.classify_ns;
+            footprint_ns += sub2.footprint_ns;
             let mut faulted: Vec<usize> = sub2.faults.iter().map(|f| f.index).collect();
             faulted.sort_unstable();
             let sub2_deeps =
@@ -539,6 +545,7 @@ impl StartPoint {
             ride_ns,
             classify_ns,
             prune_ns,
+            footprint_ns,
         };
         (batch, dispo)
     }
@@ -683,12 +690,12 @@ mod tests {
     fn pruned_collapses_classes_and_matches_the_ladder() {
         let sp = gapped_start_point(PipelineConfig::baseline());
         let fp = sp.extended_footprint();
-        let resolver = Resolver::build(&sp.checkpoint, MASK);
+        let resolver = Resolver::build(sp.checkpoint(), MASK);
 
         let mut specs: Vec<TrialSpec> = Vec::new();
         for span in resolver.spans() {
             let Some(unit) = span.unit else { continue };
-            if !Tier::Extended.tracked(&sp.checkpoint, unit, span.unit_ord) {
+            if !Tier::Extended.tracked(sp.checkpoint(), unit, span.unit_ord) {
                 continue;
             }
             let tl = fp.timeline(unit, span.unit_ord);

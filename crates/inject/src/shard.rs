@@ -61,7 +61,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tfsim_check::{Chaos, FaultKind};
@@ -69,7 +69,8 @@ use tfsim_obs::json::{self, obj, Json};
 use tfsim_obs::{Event, EventSink};
 use tfsim_workloads::Workload;
 
-use crate::campaign::{execute_task, CampaignConfig};
+use crate::campaign::{campaign_timeline, execute_task, task_order, CampaignConfig};
+use crate::golden::GoldenTimeline;
 use crate::journal::{task_from_json, task_to_json, CampaignJournal, JournalMeta};
 use crate::lease::{CompleteOutcome, LeaseStats, LeaseTable, TaskId};
 use crate::JournaledTask;
@@ -318,6 +319,10 @@ impl Coord<'_> {
 /// Operational events ([`Event::Worker`], [`Event::Lease`]) go to `ops` —
 /// a sink separate from any campaign trace, so campaign traces stay
 /// byte-identical to single-process runs.
+///
+/// Leases go out in the in-process pool's benchmark-major order, so a
+/// worker's one-entry timeline cache serves a run of start points of one
+/// benchmark before moving on.
 pub fn serve_campaign(
     listener: TcpListener,
     config: &CampaignConfig,
@@ -331,13 +336,7 @@ pub fn serve_campaign(
         journal.map(|j| j.completed().to_vec()).unwrap_or_default();
     let done: BTreeSet<TaskId> =
         replayed.iter().map(|t| (t.bench, t.start_point as u64)).collect();
-    // The same grant order as the in-process pool: sorted so the most
-    // expensive tasks (highest start point) pop first.
-    let mut tasks: Vec<TaskId> = (0..workloads.len())
-        .flat_map(|b| (0..config.start_points).map(move |s| (b, s as u64)))
-        .filter(|t| !done.contains(t))
-        .collect();
-    tasks.sort_by_key(|&(b, s)| (s, std::cmp::Reverse(b)));
+    let tasks = grant_order(workloads.len(), config.start_points, &done);
     let total = workloads.len() * config.start_points as usize;
 
     listener.set_nonblocking(true)?;
@@ -634,6 +633,10 @@ struct Pending {
 
 struct WorkerState {
     campaign: Option<(CampaignConfig, Vec<Workload>, String)>,
+    /// The last granted benchmark's golden timeline: a one-entry cache,
+    /// so consecutive grants of one benchmark share a golden pass and at
+    /// most one timeline is alive.
+    golden: Option<(usize, Arc<GoldenTimeline>)>,
     shard: Option<CampaignJournal>,
     pending: Option<Pending>,
     stashed: Option<(u64, u64, u64)>, // (bench, sp, token) from a dup'd request
@@ -655,6 +658,7 @@ enum Want {
 pub fn run_worker(wc: &WorkerConfig) -> io::Result<WorkerReport> {
     let mut state = WorkerState {
         campaign: None,
+        golden: None,
         shard: None,
         pending: None,
         stashed: None,
@@ -828,7 +832,13 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
                         }
                     });
                 }
-                let task = execute_task(config, &workloads[bench], bench, sp as u32);
+                if state.golden.as_ref().is_none_or(|(b, _)| *b != bench) {
+                    drop(state.golden.take()); // free the old timeline first
+                    let golden = campaign_timeline(config, &workloads[bench]);
+                    state.golden = Some((bench, Arc::new(golden)));
+                }
+                let (_, golden) = state.golden.as_ref().expect("cached above");
+                let task = execute_task(config, golden, bench, sp as u32);
                 stop.store(true, Ordering::Relaxed);
                 task
             })
@@ -869,6 +879,16 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
 
         state.pending = Some(Pending { task, token });
     }
+}
+
+/// The lease table's pending list for the not-yet-`done` tasks:
+/// [`task_order`] reversed, because the table grants from the back.
+/// Start points of one benchmark share its golden timeline (one warm-up,
+/// one golden pass), so no start point is costlier to serve first.
+fn grant_order(benchmarks: usize, start_points: u32, done: &BTreeSet<TaskId>) -> Vec<TaskId> {
+    let done = done.iter().map(|&(b, s)| (b, s as u32)).collect();
+    let tasks = task_order(benchmarks, start_points, &done);
+    tasks.into_iter().rev().map(|(b, s)| (b, s as u64)).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -914,6 +934,21 @@ pub fn merge_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn leases_are_granted_benchmark_major() {
+        // A resumed coordinator: (0, 1) is already journaled. The rest go
+        // out one benchmark at a time, so a worker's one-entry timeline
+        // cache builds each benchmark's golden pass once.
+        let done: BTreeSet<TaskId> = [(0, 1)].into_iter().collect();
+        let mut table = LeaseTable::new(grant_order(2, 3, &done), 100);
+        let mut granted = Vec::new();
+        while let Some((task, token)) = table.grant(1, 0) {
+            assert_eq!(table.complete(task, token), CompleteOutcome::Accepted);
+            granted.push(task);
+        }
+        assert_eq!(granted, [(0, 0), (0, 2), (1, 0), (1, 1), (1, 2)]);
+    }
 
     #[test]
     fn frames_round_trip() {

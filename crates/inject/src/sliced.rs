@@ -6,7 +6,7 @@
 //! the golden run, and as long as no computation consumes the faulted
 //! word, the trial's observable behaviour — its retire stream, its halt,
 //! its per-cycle retirement pattern — is the golden run's, already
-//! precomputed by [`StartPoint::prepare`].
+//! precomputed in the start point's golden timeline.
 //!
 //! This module exploits that with a *golden access footprint*: one extra
 //! tracked replay of the fault-free run (per start point, built lazily and
@@ -149,13 +149,15 @@ impl StartPoint {
         let deep = TRACED && deep;
         assert!((1..=LANE_WIDTH).contains(&lane_width), "lane width must be 1..=64");
         install_containment_hook();
+        let fp_t0 = TRACED.then(Instant::now);
         let fp = self.golden_footprint();
-        let resolver = Resolver::build(&self.checkpoint, mask);
+        let footprint_ns = fp_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
+        let resolver = Resolver::build(self.checkpoint(), mask);
 
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
 
-        let mut walker = self.checkpoint.clone();
+        let mut walker = self.checkpoint().clone();
         let mut walked = 0u64;
         let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
         let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
@@ -176,14 +178,14 @@ impl StartPoint {
                 let spec = specs[i];
                 let lane_bit = 1u64 << lane;
                 let plan = if panic_shim == Some(i)
-                    || spec.inject_cycle as usize >= self.fps.len()
+                    || spec.inject_cycle > self.horizon()
                 {
                     Plan::Scalar
                 } else {
                     match resolver.resolve(spec.target) {
                         Some(span)
                             if span.unit.is_some_and(|u| {
-                                self.checkpoint.access_tracked(u, span.unit_ord)
+                                self.checkpoint().access_tracked(u, span.unit_ord)
                             }) =>
                         {
                             let unit = span.unit.expect("tracked implies unit");
@@ -296,6 +298,7 @@ impl StartPoint {
             ride_ns,
             classify_ns,
             prune_ns: 0,
+            footprint_ns,
         }
     }
 
@@ -344,10 +347,10 @@ impl StartPoint {
                 break 'decide (Outcome::MicroArchMatch, inject_cycle);
             }
 
-            let mut matched = self.instret[inject_cycle as usize] as usize;
+            let mut matched = self.instret_at(inject_cycle) as usize;
             let mut last_retire_cycle = inject_cycle;
             let mut flushes_without_retire = 0u32;
-            let horizon = (self.fps.len() as u64 - 1).min(inject_cycle + monitor);
+            let horizon = self.horizon().min(inject_cycle + monitor);
 
             for step in (inject_cycle + 1)..=horizon {
                 last_step = step;
@@ -368,7 +371,7 @@ impl StartPoint {
                     // verbatim: the per-record architectural comparisons
                     // pass by identity, and the ran-ahead guard below is
                     // provably dead (kept for literal parity).
-                    if matched >= self.records.len() {
+                    if matched >= self.records().len() {
                         break 'decide (Outcome::GrayArea, step);
                     }
                     matched += 1;
@@ -377,7 +380,7 @@ impl StartPoint {
                     if hc == step {
                         // The lane halts with the golden exit code; correct
                         // iff the full golden stream was retired.
-                        let outcome = if matched == self.records.len() {
+                        let outcome = if matched == self.records().len() {
                             Outcome::MicroArchMatch
                         } else {
                             Outcome::Failure(FailureMode::Ctrl)
@@ -389,7 +392,7 @@ impl StartPoint {
                     break 'decide (Outcome::Failure(FailureMode::Locked), step);
                 }
                 let dense = step - inject_cycle <= 64;
-                if (dense || step % 8 == 0) && self.instret[step as usize] == matched as u64 {
+                if (dense || step % 8 == 0) && self.instret_at(step) == matched as u64 {
                     // Fingerprint check: the lane equals golden except for
                     // the δ, so equality holds exactly once healed.
                     if heal_cycle.is_some_and(|hc| step >= hc) {
@@ -420,7 +423,7 @@ impl StartPoint {
             // Mirror of `classify`'s post-decision attribution walk:
             // at the decision state the lane differs from golden iff
             // the δ is still unhealed, and then exactly in its unit.
-            let at = last_step.min(self.fps.len() as u64 - 1);
+            let at = last_step.min(self.horizon());
             let unhealed = heal_cycle.is_none_or(|hc| last_step < hc);
             if traced && divergence.is_none() && unhealed {
                 divergence = Some((at, span.unit));

@@ -17,17 +17,18 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Once;
+use std::sync::{Arc, Once, OnceLock};
 use std::time::Instant;
 
-use tfsim_arch::RetireRecord;
 use tfsim_bitstate::{
-    fingerprint_of, BitCount, CachedFingerprint, Category, Fingerprint, FlipBit, InjectionMask,
-    StorageKind, UnitId, VisitState,
+    fingerprint_of, CachedFingerprint, Category, Fingerprint, FlipBit, InjectionMask, StorageKind,
+    UnitId, VisitState,
 };
 use tfsim_isa::{decode, Program};
 use tfsim_obs::DeepTrace;
-use tfsim_uarch::{ExcCode, FlowEvent, Pipeline, RetireEvent};
+use tfsim_uarch::{ExcCode, Pipeline, RetireEvent};
+
+use crate::golden::GoldenTimeline;
 
 /// The paper's seven failure modes (Table 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,6 +215,10 @@ pub struct TracedBatch {
     /// proofs and class formation). Zero outside the pruned path; *not*
     /// part of `monitor_ns` — the analysis runs before any trial.
     pub prune_ns: u64,
+    /// Wall-clock time spent building the start point's lazy golden
+    /// access footprints (sliced and pruned paths, first batch only).
+    /// Part of neither `monitor_ns` nor `prune_ns`.
+    pub footprint_ns: u64,
 }
 
 thread_local! {
@@ -252,156 +257,42 @@ pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
 
 /// A prepared start point: a warmed checkpoint plus everything the
 /// classifier needs from the fault-free continuation.
+///
+/// A view into the golden timeline shared by every start point of a
+/// benchmark: the per-cycle rows are read at an offset, never copied (see
+/// `crate::golden`).
 pub struct StartPoint {
-    pub(crate) checkpoint: Pipeline,
-    /// Per-cycle fingerprints, `fps[i]` = state after `i` steps (index 0
-    /// is the checkpoint itself).
-    pub(crate) fps: Vec<u128>,
-    /// Per-cycle, per-unit subhashes aligned with `fps` (row `i` indexed
-    /// by [`UnitId::index`]): lets a diverging trial name the units that
-    /// differ from golden at a given cycle.
-    unit_fps: Vec<[u128; UnitId::COUNT]>,
-    /// Cumulative retirements after `i` steps.
-    pub(crate) instret: Vec<u64>,
-    /// The golden retirement trace (index = commit number since the
-    /// checkpoint).
-    pub(crate) records: Vec<RetireRecord>,
+    pub(crate) golden: Arc<GoldenTimeline>,
+    /// Which of the timeline's windows this start point is.
+    pub(crate) window: usize,
+    /// Timeline row of the checkpoint.
+    pub(crate) row: usize,
+    /// The checkpoint's retirement count, subtracted from timeline rows.
+    pub(crate) base_instret: u64,
     /// Cycle (steps after checkpoint) at which the golden run halted.
     pub(crate) halted_at: Option<(u64, u64)>, // (step, exit code)
     /// Golden in-flight valid-instruction count per cycle.
-    valid_counts: Vec<u32>,
-    /// Eligible bit count for the campaign's mask.
-    bit_count: u64,
+    pub(crate) valid_counts: Vec<u32>,
     /// Lazily built golden access footprint for the word-parallel path
     /// (see `crate::sliced`): per-cell read/write timelines plus per-cycle
     /// retire aggregates from one tracked replay of the golden run.
-    pub(crate) footprint: std::sync::OnceLock<crate::footprint::Footprint>,
+    pub(crate) footprint: OnceLock<crate::footprint::Footprint>,
     /// Extended-tier footprint for the analytic pruner (see
     /// `crate::pruner`), from a second tracked replay covering every
     /// loggable structure.
-    pub(crate) footprint_ext: std::sync::OnceLock<crate::footprint::Footprint>,
+    pub(crate) footprint_ext: OnceLock<crate::footprint::Footprint>,
 }
 
 impl StartPoint {
     /// Prepares a start point from a *warmed* pipeline whose flow log has
     /// been enabled since reset. Runs the golden continuation for
-    /// `horizon` cycles.
+    /// `horizon` cycles: a golden timeline with one window.
     ///
     /// # Panics
     ///
     /// Panics if the fault-free continuation raises an exception.
     pub fn prepare(warmed: &Pipeline, horizon: u64, mask: InjectionMask) -> StartPoint {
-        let mut checkpoint = warmed.clone();
-        checkpoint.disable_flow_log();
-        let mut golden = warmed.clone();
-
-        let mut fps = Vec::with_capacity(horizon as usize + 1);
-        let mut unit_fps = Vec::with_capacity(horizon as usize + 1);
-        let mut instret = Vec::with_capacity(horizon as usize + 1);
-        let mut records = Vec::new();
-        let mut halted_at = None;
-        let base_instret = golden.instret();
-        // The golden ladder is hashed with the cached engine: the golden
-        // machine mutates only through `step()`, so unit stamps are exact
-        // and unchanged predictor/cache arrays hash for free.
-        let mut engine = CachedFingerprint::new();
-        fps.push(engine.fingerprint(&mut golden));
-        unit_fps.push(*engine.unit_hashes());
-        instret.push(0);
-        for step in 1..=horizon {
-            let report = golden.step();
-            for ev in report.events {
-                match ev {
-                    RetireEvent::Retired(r) => records.push(r),
-                    RetireEvent::Halted { code } => {
-                        halted_at.get_or_insert((step, code));
-                    }
-                    RetireEvent::Exception(e) => {
-                        panic!("golden run raised {e:?} at step {step}")
-                    }
-                }
-            }
-            fps.push(engine.fingerprint(&mut golden));
-            unit_fps.push(*engine.unit_hashes());
-            instret.push(golden.instret() - base_instret);
-            if !golden.running() && halted_at.is_some() {
-                // Freeze: replicate the terminal state for the remaining
-                // horizon so comparisons stay index-aligned.
-                let last_fp = *fps.last().expect("nonempty");
-                let last_units = *unit_fps.last().expect("nonempty");
-                let last_ir = *instret.last().expect("nonempty");
-                while fps.len() <= horizon as usize {
-                    fps.push(last_fp);
-                    unit_fps.push(last_units);
-                    instret.push(last_ir);
-                }
-                break;
-            }
-        }
-
-        // Figure 6 instrumentation: for each cycle, how many in-flight
-        // instructions eventually commit. Flow events use absolute cycle
-        // numbers; the checkpoint sits at `warmed.cycles()`.
-        let base_cycle = warmed.cycles();
-        let events = golden.take_flow_events();
-        let mut valid_counts = vec![0u32; horizon as usize + 1];
-        {
-            use std::collections::HashMap;
-            // seq -> (fetch_cycle, end_cycle, committed)
-            let mut spans: HashMap<u64, (u64, Option<u64>, bool)> = HashMap::new();
-            for ev in &events {
-                match *ev {
-                    FlowEvent::Fetch { seq, cycle } => {
-                        spans.entry(seq).or_insert((cycle, None, false)).0 = cycle;
-                    }
-                    FlowEvent::Commit { seq, cycle } => {
-                        let e = spans.entry(seq).or_insert((0, None, false));
-                        e.1 = Some(cycle);
-                        e.2 = true;
-                    }
-                    FlowEvent::Squash { seq, cycle } => {
-                        let e = spans.entry(seq).or_insert((0, None, false));
-                        e.1 = Some(cycle);
-                    }
-                }
-            }
-            for (_, (fetch, end, committed)) in spans {
-                if !committed {
-                    continue;
-                }
-                let end = end.unwrap_or(u64::MAX);
-                // Clamp the span to the [checkpoint, horizon] window in
-                // relative cycles.
-                let lo = fetch.saturating_sub(base_cycle);
-                let hi = end.saturating_sub(base_cycle).min(horizon);
-                for c in lo..hi {
-                    if let Some(slot) = valid_counts.get_mut(c as usize) {
-                        *slot += 1;
-                    }
-                }
-            }
-        }
-
-        let mut count = BitCount::new(mask);
-        checkpoint.visit_state(&mut count);
-
-        StartPoint {
-            checkpoint,
-            fps,
-            unit_fps,
-            instret,
-            records,
-            halted_at,
-            valid_counts,
-            bit_count: count.count,
-            footprint: std::sync::OnceLock::new(),
-            footprint_ext: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// Number of eligible bits under the campaign mask.
-    pub fn bit_count(&self) -> u64 {
-        self.bit_count
+        Arc::new(GoldenTimeline::build(warmed.clone(), &[0], horizon, mask)).start_point(0)
     }
 
     /// The golden valid-instruction count at a relative cycle.
@@ -418,7 +309,7 @@ impl StartPoint {
     ///
     /// Panics if `cycle` is beyond the prepared horizon.
     pub fn diverging_units(&self, cycle: u64, units: &[u128; UnitId::COUNT]) -> Vec<UnitId> {
-        let golden = &self.unit_fps[cycle as usize];
+        let golden = self.unit_fp(cycle);
         UnitId::ALL
             .iter()
             .copied()
@@ -439,7 +330,7 @@ impl StartPoint {
         inject_cycle: u64,
         monitor: u64,
     ) -> TrialRecord {
-        let mut cpu = self.checkpoint.clone();
+        let mut cpu = self.checkpoint().clone();
 
         // Advance fault-free to the injection cycle.
         for _ in 0..inject_cycle {
@@ -551,7 +442,7 @@ impl StartPoint {
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
 
-        let mut walker = self.checkpoint.clone();
+        let mut walker = self.checkpoint().clone();
         let mut walked = 0u64;
         let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
         let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
@@ -628,6 +519,7 @@ impl StartPoint {
             ride_ns: 0,
             classify_ns: monitor_ns,
             prune_ns: 0,
+            footprint_ns: 0,
         }
     }
 
@@ -661,7 +553,7 @@ impl StartPoint {
         let TrialObservers { trace, mut deep } = obs;
         let TrialSpec { target, inject_cycle } = spec;
         let traced = trace.is_some();
-        let base_instret = self.checkpoint.instret();
+        let base_instret = self.checkpoint().instret();
 
         // Flip the bit.
         let mut flip = FlipBit::new(mask, target);
@@ -691,7 +583,7 @@ impl StartPoint {
             let mut matched_records = (cpu.instret() - base_instret) as usize;
             let mut last_retire_cycle = inject_cycle;
             let mut flushes_without_retire = 0u32;
-            let horizon = (self.fps.len() as u64 - 1).min(inject_cycle + monitor);
+            let horizon = self.horizon().min(inject_cycle + monitor);
             // Created after the flip: the cache starts cold, so the flip
             // (which bypasses generation stamps) can never be hidden by a
             // stale entry.
@@ -726,7 +618,7 @@ impl StartPoint {
                 for ev in report.events {
                     match ev {
                         RetireEvent::Retired(rec) => {
-                            match self.records.get(matched_records) {
+                            match self.records().get(matched_records) {
                                 Some(g) => {
                                     // Architectural-state comparison. The
                                     // record's `pc`/`raw` fields (and the
@@ -769,7 +661,7 @@ impl StartPoint {
                         RetireEvent::Halted { code } => {
                             // Correct only if the golden run also halts
                             // having retired exactly the same stream.
-                            let golden_total = self.records.len();
+                            let golden_total = self.records().len();
                             let outcome = match self.halted_at {
                                 Some((_, gcode))
                                     if gcode == code && matched_records == golden_total =>
@@ -803,19 +695,15 @@ impl StartPoint {
                 // after an initial dense window loses nothing.
                 let dense = step - inject_cycle <= 64;
                 if (dense || step % 8 == 0)
-                    && self.instret[step as usize] == cpu.instret() - base_instret
+                    && self.instret_at(step) == cpu.instret() - base_instret
                     && matched_records as u64 == cpu.instret() - base_instret
                 {
                     let eq = match engine.as_mut() {
                         // Fast path: per-unit comparison against the golden
                         // row, short-circuiting on the unit a latent fault
                         // keeps diverged.
-                        Some(e) => e.matches(
-                            &mut cpu,
-                            self.fps[step as usize],
-                            &self.unit_fps[step as usize],
-                        ),
-                        None => fingerprint_of(&mut cpu) == self.fps[step as usize],
+                        Some(e) => e.matches(&mut cpu, self.fp(step), self.unit_fp(step)),
+                        None => fingerprint_of(&mut cpu) == self.fp(step),
                     };
                     if eq {
                         // A heal closes the divergence timeline (change-only
@@ -844,10 +732,7 @@ impl StartPoint {
                             e.fingerprint(&mut cpu);
                             d.push(
                                 step,
-                                UnitId::diverged_mask(
-                                    e.unit_hashes(),
-                                    &self.unit_fps[step as usize],
-                                ),
+                                UnitId::diverged_mask(e.unit_hashes(), self.unit_fp(step)),
                             );
                         }
                     }
@@ -870,15 +755,15 @@ impl StartPoint {
             // close the timeline with the final diverged-unit set.
             // Happens after the outcome is sealed, so it cannot perturb
             // classification.
-            let at = last_step.min(self.fps.len() as u64 - 1);
+            let at = last_step.min(self.horizon());
             let mut fp = Fingerprint::new();
             cpu.visit_state(&mut fp);
-            if traced && divergence.is_none() && fp.value() != self.fps[at as usize] {
+            if traced && divergence.is_none() && fp.value() != self.fp(at) {
                 let units = self.diverging_units(at, fp.unit_hashes());
                 divergence = Some((at, units.first().copied()));
             }
             if let Some(d) = deep {
-                d.push(at, UnitId::diverged_mask(fp.unit_hashes(), &self.unit_fps[at as usize]));
+                d.push(at, UnitId::diverged_mask(fp.unit_hashes(), self.unit_fp(at)));
             }
         }
         if let Some(tr) = trace {
@@ -949,7 +834,7 @@ mod tests {
     fn golden_precompute_is_sane() {
         let sp = start_point();
         assert!(sp.bit_count() > 40_000, "bit count {}", sp.bit_count());
-        assert!(sp.records.len() > 1_000);
+        assert!(sp.records().len() > 1_000);
         assert!(sp.halted_at.is_none(), "workload must outlast the horizon");
         assert!(sp.valid_at(100) > 0, "pipeline should hold valid instructions");
         assert!(sp.valid_at(100) <= 132);
@@ -1182,13 +1067,13 @@ mod tests {
         let sp = start_point();
         // Walk a fault-free clone to some cycle: no unit diverges.
         let k = 37u64;
-        let mut cpu = sp.checkpoint.clone();
+        let mut cpu = sp.checkpoint().clone();
         for _ in 0..k {
             cpu.step();
         }
         let mut engine = CachedFingerprint::new();
         let fp = engine.fingerprint(&mut cpu);
-        assert_eq!(fp, sp.fps[k as usize], "fault-free clone must match golden");
+        assert_eq!(fp, sp.fp(k), "fault-free clone must match golden");
         assert!(sp.diverging_units(k, engine.unit_hashes()).is_empty());
 
         // Flip a bit: the root diverges and at least one unit is named.
@@ -1196,7 +1081,7 @@ mod tests {
         cpu.visit_state(&mut flip);
         let mut fresh = CachedFingerprint::new();
         let fp = fresh.fingerprint(&mut cpu);
-        assert_ne!(fp, sp.fps[k as usize]);
+        assert_ne!(fp, sp.fp(k));
         let diverged = sp.diverging_units(k, fresh.unit_hashes());
         assert!(!diverged.is_empty(), "a flipped machine must name a diverging unit");
     }

@@ -12,6 +12,7 @@ use tfsim::inject::{
     run_campaign_journaled, run_campaign_on, CampaignConfig, CampaignJournal, CampaignObs,
     CampaignResult, FailureMode, JournalMeta,
 };
+use tfsim::obs::{strip_wall_clock, RingSink};
 use tfsim::stats::{census_rows, render_census};
 use tfsim::workloads::{self, Workload};
 
@@ -183,5 +184,45 @@ fn quarantined_trials_survive_the_journal_round_trip() {
     let resumed = journaled(&replay_cfg, &workloads, &j);
     assert_eq!(resumed.quarantined, reference.quarantined);
     assert_eq!(census_of(&resumed), census_of(&reference));
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn resuming_part_of_a_benchmark_rebuilds_its_timeline_to_the_same_stream() {
+    // Start points of one benchmark share a golden timeline. A journal
+    // holding only the middle start point of the first benchmark leaves
+    // that benchmark with work on both sides of it: the resumed run must
+    // build the benchmark's whole timeline and reproduce the uninterrupted
+    // census and event stream (valid-instruction counts included).
+    let workloads = two_workloads();
+    let mut cfg = config(1);
+    cfg.start_points = 3;
+    let observed = |j: Option<&CampaignJournal>| {
+        let sink = RingSink::new(1 << 16);
+        let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
+        let result = run_campaign_journaled(&cfg, &workloads, &obs, j);
+        (census_of(&result), format!("{:?}", result.scatter), strip_wall_clock(&sink.events()))
+    };
+    let path = tmp("partial.jsonl");
+    let meta = JournalMeta::new(&cfg, &workloads);
+    let reference = {
+        let j = CampaignJournal::create(&path, &meta).unwrap();
+        observed(Some(&j))
+    };
+    let middle = CampaignJournal::resume(&path, &meta)
+        .unwrap()
+        .completed()
+        .iter()
+        .find(|t| (t.bench, t.start_point) == (0, 1))
+        .expect("the full journal holds every task")
+        .clone();
+    {
+        let j = CampaignJournal::create(&path, &meta).unwrap();
+        j.append_task(&middle).unwrap();
+    }
+    let j = CampaignJournal::resume(&path, &meta).unwrap();
+    assert_eq!(j.completed().len(), 1);
+    assert_eq!(observed(Some(&j)), reference);
+    assert_eq!(observed(None), reference, "journaling itself changed the stream");
     std::fs::remove_file(&path).unwrap();
 }
