@@ -22,22 +22,22 @@ echo "==> perf smoke (timings non-gating, exit status gating)"
 TFSIM_BENCH_SAMPLES=1 TFSIM_BENCH_SAMPLE_MS=1 \
     cargo run --release --offline -q -p tfsim-bench --bin perf -- inject/
 
-echo "==> sliced/pruned-engine census smoke (gating)"
+echo "==> engine census smoke (gating)"
 # A short campaign through the word-parallel (bit-sliced) engine and the
-# analytic masking pruner must each print the byte-identical census of
-# the same campaign on the snapshot ladder: `--sliced` and `--pruned`
-# are execution strategies, never experiment knobs. Three start points
-# 600 cycles apart with a 1,400-cycle horizon overlap, so every engine
-# reads views of a shared golden timeline here. Timings here are
+# analytic masking pruner (the default engine) must each print the
+# byte-identical census of the same campaign on the snapshot ladder: the
+# engine is an execution strategy, never an experiment knob. Three start
+# points 600 cycles apart with a 1,400-cycle horizon overlap, so every
+# engine reads views of a shared golden timeline here, and the fast
+# engines read their access answers from its one pass. Timings here are
 # non-gating (a 12-trial campaign proves correctness, not speed; the
-# pruner's >=2x throughput claim lives in bench.sh / BENCH_campaign.json
-# where medians over real sample counts are recorded).
+# end-to-end timing lives in perfbench/).
 run_tfsim="cargo run --release --offline -q -p tfsim-bench --bin tfsim-run --"
 sliced_args="campaign --quick --seed 7 --start-points 3 --trials 12 --monitor 1200 \
     --scale 1 --workloads gzip-like,twolf-like"
-$run_tfsim $sliced_args > target/ci_census_ladder.txt 2>/dev/null
-$run_tfsim $sliced_args --sliced > target/ci_census_sliced.txt 2>/dev/null
-$run_tfsim $sliced_args --pruned > target/ci_census_pruned.txt 2>/dev/null
+$run_tfsim $sliced_args --engine ladder > target/ci_census_ladder.txt 2>/dev/null
+$run_tfsim $sliced_args --engine sliced > target/ci_census_sliced.txt 2>/dev/null
+$run_tfsim $sliced_args > target/ci_census_pruned.txt 2>/dev/null
 diff target/ci_census_ladder.txt target/ci_census_sliced.txt
 diff target/ci_census_ladder.txt target/ci_census_pruned.txt
 

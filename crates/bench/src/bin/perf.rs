@@ -117,18 +117,18 @@ fn campaign_plan(sp: &StartPoint, trials: u64, window: u64) -> Vec<TrialSpec> {
 ///   through the word-parallel (bit-sliced) engine: lanes whose flipped
 ///   word is overwritten or never read ride the shared golden evaluation,
 ///   only genuinely diverging lanes peel off to the scalar ladder. The
-///   sliced/untraced median ratio is the word-parallel speedup; the
-///   footprint build is amortized by priming it before measurement (a
-///   campaign start point pays it once across all its trials).
+///   sliced/untraced median ratio is the word-parallel speedup. Every
+///   call includes the standalone answer replay (one tracked golden pass
+///   over the window answering the batch's access questions), which a
+///   campaign pays inside its shared golden pass instead.
 /// * `inject/trials-per-sec-pruned` — the identical 100-trial batch
-///   through the analytic masking pruner: dead-window proofs and site
-///   equivalence classes discharge most sites without a trial, the rest
-///   delegate to the sliced engine. The sliced/pruned median ratio is the
-///   pruner's gain on top of the word-parallel engine.
+///   through the analytic masking pruner: dead-window proofs discharge
+///   most sites without a trial, the rest delegate to the sliced engine.
+///   Includes the answer replay, like the sliced row.
 /// * `inject/pruner-overhead` — a 100-site batch the pruner proves dead
-///   in its entirety (sites screened one by one beforehand): no lane ever
-///   dispatches, so the median is the pure cost of the pruning analysis
-///   (footprint lookups, prefix walks, analytic classification) per batch.
+///   in its entirety (sites screened beforehand): no lane ever
+///   dispatches, so the median is the cost of the answer replay plus the
+///   pruning analysis (prefix walks, analytic classification) per batch.
 /// * `inject/snapshot-ladder-vs-naive/{naive,ladder}` — the same 25-trial
 ///   plan through per-trial `run_trial` (replay + flat fingerprints) and
 ///   batched `run_trials` (snapshot ladder + cached fingerprints). The
@@ -156,25 +156,22 @@ fn bench_campaign(b: &mut Bench) {
     b.bench("inject/trials-per-sec-deep-traced", || {
         sp.run_trials_deep_traced(MASK, &plan, MONITOR)
     });
-    // Prime the lazily built golden footprints so the benches measure the
-    // steady-state per-batch cost, like every batch after the first.
-    sp.run_trials_sliced(MASK, &plan[..1], MONITOR);
     b.bench("inject/trials-per-sec-sliced", || sp.run_trials_sliced(MASK, &plan, MONITOR));
-    sp.run_trials_pruned(MASK, &plan[..1], MONITOR);
     b.bench("inject/trials-per-sec-pruned", || sp.run_trials_pruned(MASK, &plan, MONITOR));
     if wants(b, "inject/pruner-overhead") {
-        // Screen sites one at a time: a single-spec batch's disposition
-        // tally names that site's fate, so this keeps exactly the sites
-        // the pruner proves dead. The bench batch then runs through the
-        // full pruned path without ever simulating.
-        let dead: Vec<TrialSpec> = (0..4_000u64)
+        // Keep exactly the sites the pruner proves dead: the bench batch
+        // then runs through the full pruned path without ever simulating.
+        let candidates: Vec<TrialSpec> = (0..4_000u64)
             .map(|i| TrialSpec {
                 target: i.wrapping_mul(6_733) % sp.bit_count(),
                 inject_cycle: i.wrapping_mul(53) % WINDOW,
             })
-            .filter(|s| {
-                sp.run_trials_pruned(MASK, std::slice::from_ref(s), MONITOR).1.proved_dead == 1
-            })
+            .collect();
+        let proved = sp.proved_dead(MASK, &candidates, MONITOR);
+        let dead: Vec<TrialSpec> = candidates
+            .into_iter()
+            .zip(proved)
+            .filter_map(|(s, dead)| dead.then_some(s))
             .take(100)
             .collect();
         b.bench("inject/pruner-overhead", || sp.run_trials_pruned(MASK, &dead, MONITOR));

@@ -6,14 +6,14 @@
 //!           [--max-cycles N] [--disasm] [--trace N] [--dump N] [--arch-only]
 //! tfsim-run campaign [--quick|--default-scale|--paper] [--seed N]
 //!           [--threads N] [--scale N] [--start-points N] [--trials N]
-//!           [--monitor N] [--workloads a,b,...] [--sliced] [--pruned]
+//!           [--monitor N] [--workloads a,b,...] [--engine ladder|sliced|pruned]
 //!           [--trace PATH [--deep-trace]] [--profile PATH]
 //!           [--journal PATH [--resume]]
 //! tfsim-run report PATH [--top N] [--propagation]
 //! tfsim-run serve [campaign flags] [--addr HOST] [--port N]
 //!           [--lease-ms N] [--heartbeat-ms N] [--idle-timeout-ms N]
 //!           [--ops-trace PATH]
-//! tfsim-run worker --connect HOST:PORT [--sliced] [--pruned]
+//! tfsim-run worker --connect HOST:PORT [--engine ladder|sliced|pruned]
 //!           [--shard PATH] [--chaos SPEC] [--max-retries N]
 //! tfsim-run merge SHARD.jsonl... [--trace PATH]
 //! ```
@@ -23,14 +23,14 @@
 //! completion and a summary (exit code, output, IPC, stats) is printed.
 //!
 //! `campaign` runs a fault-injection campaign and prints the outcome
-//! census. `--sliced` runs the trials on the word-parallel (bit-sliced)
-//! engine — an execution strategy, not an experiment parameter: the
-//! census, trace, and journal are byte-identical to the default
-//! snapshot-ladder engine, just faster. `--pruned` adds the analytic
-//! masking pruner on top of the sliced engine: dead-window proofs and
-//! site equivalence classes discharge most sites without simulating,
-//! the telemetry footer reports the per-site disposition tally, and the
-//! census stays byte-identical to both other engines. With `--trace PATH` it streams the per-trial JSONL event
+//! census. `--engine` picks the engine the trials run on — an execution
+//! strategy, not an experiment parameter: the census, trace, and journal
+//! are byte-identical on every engine. `pruned` (the default) proves most
+//! sites masked from the golden run without simulating them and reports
+//! the per-site disposition tally in the telemetry footer; `sliced` does
+//! so only for register-file, load/store-queue and miss-register sites;
+//! `ladder` simulates every trial and is the reference the others are
+//! pinned against. With `--trace PATH` it streams the per-trial JSONL event
 //! stream to `PATH` (plus metrics and a live progress meter on stderr);
 //! without it the campaign takes the untraced zero-overhead path. The
 //! census is rendered through the same `tfsim_stats::census_rows` builder
@@ -84,8 +84,8 @@ use tfsim_arch::FuncSim;
 use tfsim_check::Chaos;
 use tfsim_inject::{
     merge_shards, run_campaign_journaled, run_campaign_with_tasks, run_worker, serve_campaign,
-    CampaignConfig, CampaignJournal, CampaignMetrics, CampaignObs, CampaignResult, FailureMode,
-    JournalMeta, OutcomeCounts, ServeConfig, WorkerConfig,
+    CampaignConfig, CampaignJournal, CampaignMetrics, CampaignObs, CampaignResult, Engine,
+    FailureMode, JournalMeta, OutcomeCounts, ServeConfig, WorkerConfig,
 };
 use tfsim_isa::{text, Program};
 use tfsim_obs::{parse_trace, EventSink, JsonlSink, NoopSink, Progress, SpanProfiler};
@@ -114,6 +114,12 @@ fn census(counts: &OutcomeCounts) -> String {
         FailureMode::ALL.iter().map(|m| (m.label(), counts.failure(*m))),
     );
     render_census(&rows)
+}
+
+fn parse_engine(args: &[String], i: usize) -> Engine {
+    args.get(i + 1)
+        .and_then(|s| Engine::parse(s))
+        .unwrap_or_else(|| die(EXIT_USAGE, "--engine needs one of ladder, sliced, pruned"))
 }
 
 fn parse_num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
@@ -270,8 +276,7 @@ fn cmd_campaign(args: &[String]) {
     let mut threads = None::<usize>;
     let mut deep_trace = false;
     let mut profile = None::<PathBuf>;
-    let mut sliced = false;
-    let mut pruned = false;
+    let mut engine = None::<Engine>;
     let mut flags = parse_campaign_flags("campaign", args, |args, i| match args[i].as_str() {
         "--threads" => {
             threads = Some(parse_num(args, i, "--threads"));
@@ -285,21 +290,18 @@ fn cmd_campaign(args: &[String]) {
             profile = Some(path_arg(args, i, "--profile"));
             Some(i + 2)
         }
-        "--sliced" => {
-            sliced = true;
-            Some(i + 1)
-        }
-        "--pruned" => {
-            pruned = true;
-            Some(i + 1)
+        "--engine" => {
+            engine = Some(parse_engine(args, i));
+            Some(i + 2)
         }
         _ => None,
     });
     if let Some(n) = threads {
         flags.config.threads = n;
     }
-    flags.config.sliced = sliced;
-    flags.config.pruned = pruned;
+    if let Some(e) = engine {
+        flags.config.engine = e;
+    }
     flags.config.deep_trace = deep_trace;
     if deep_trace && flags.trace.is_none() {
         die(EXIT_USAGE, "--deep-trace needs --trace PATH (timelines stream into the trace)");
@@ -555,8 +557,7 @@ fn cmd_serve(args: &[String]) {
 
 fn cmd_worker(args: &[String]) {
     let mut connect = None::<String>;
-    let mut sliced = false;
-    let mut pruned = false;
+    let mut engine = None::<Engine>;
     let mut shard = None::<PathBuf>;
     let mut chaos = Chaos::off();
     let mut backoff_base_ms = None::<u64>;
@@ -573,13 +574,9 @@ fn cmd_worker(args: &[String]) {
                 );
                 i += 2;
             }
-            "--sliced" => {
-                sliced = true;
-                i += 1;
-            }
-            "--pruned" => {
-                pruned = true;
-                i += 1;
+            "--engine" => {
+                engine = Some(parse_engine(args, i));
+                i += 2;
             }
             "--shard" => {
                 shard = Some(path_arg(args, i, "--shard"));
@@ -612,8 +609,9 @@ fn cmd_worker(args: &[String]) {
     let addr =
         connect.unwrap_or_else(|| die(EXIT_USAGE, "worker: --connect HOST:PORT is required"));
     let mut wc = WorkerConfig::new(addr);
-    wc.sliced = sliced;
-    wc.pruned = pruned;
+    if let Some(e) = engine {
+        wc.engine = e;
+    }
     wc.shard = shard;
     wc.chaos = chaos;
     if let Some(n) = backoff_base_ms {

@@ -32,7 +32,7 @@ use tfsim_obs::{
 use tfsim_uarch::PipelineConfig;
 use tfsim_workloads::Workload;
 
-use crate::golden::GoldenTimeline;
+use crate::golden::{GoldenTimeline, PassPlans};
 use crate::journal::{CampaignJournal, JournaledTask};
 use crate::trial::{
     warm_pipeline, FailureMode, Outcome, StartPoint, TrialFault, TrialRecord, TrialSpec, TrialTrace,
@@ -48,6 +48,44 @@ use crate::trial::{
 /// secondary `PoisonError` unwind in every other worker.
 fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The engine a campaign's trials run on. Every engine produces the same
+/// records, traces, and journals; they differ only in how much of the
+/// golden run they reuse instead of simulating.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Engine {
+    /// The snapshot ladder: every trial is simulated from a fault-free
+    /// walker. The reference oracle the other engines are pinned against.
+    Ladder,
+    /// The word-parallel (bit-sliced) engine: trials whose flipped
+    /// core-tier word is never read, or overwritten before its next read,
+    /// are classified from the golden run; the rest run on the ladder.
+    Sliced,
+    /// The analytic masking pruner: dead-window proofs over every
+    /// extended-tier word discharge most trials without simulating; the
+    /// rest run on the sliced engine.
+    #[default]
+    Pruned,
+}
+
+impl Engine {
+    /// Every engine, reference first.
+    pub const ALL: [Engine; 3] = [Engine::Ladder, Engine::Sliced, Engine::Pruned];
+
+    /// The engine's command-line name.
+    pub fn label(self) -> &'static str {
+        match self {
+            Engine::Ladder => "ladder",
+            Engine::Sliced => "sliced",
+            Engine::Pruned => "pruned",
+        }
+    }
+
+    /// Parses a command-line name (`ladder`, `sliced`, or `pruned`).
+    pub fn parse(name: &str) -> Option<Engine> {
+        Engine::ALL.into_iter().find(|e| e.label() == name)
+    }
 }
 
 /// Campaign parameters. The defaults mirror the paper's methodology at a
@@ -78,25 +116,16 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Worker threads (0 = all available).
     pub threads: usize,
-    /// Run trials on the word-parallel (bit-sliced) engine instead of the
-    /// scalar snapshot ladder. An execution strategy like `threads`:
-    /// censuses, records, traces, and journals are byte-identical either
-    /// way, so the flag is deliberately *not* part of the journal
-    /// identity.
-    pub sliced: bool,
-    /// Run the analytic masking pruner before any trial: dead-window
-    /// proofs and equivalence classes discharge most sites without a
-    /// machine, and the remainder delegates to the sliced engine. An
-    /// execution strategy like `sliced` and `threads`: censuses, records,
-    /// traces, and journals are byte-identical either way, so the flag is
-    /// deliberately *not* part of the journal identity. Implies the sliced
-    /// engine for whatever still simulates.
-    pub pruned: bool,
+    /// Which engine runs the trials. An execution strategy like
+    /// `threads`: censuses, records, traces, and journals are
+    /// byte-identical on every engine, so the choice is deliberately *not*
+    /// part of the journal identity.
+    pub engine: Engine,
     /// Record each trial's full divergence timeline (which units held
     /// faulty state, per µArch check) and emit it as
     /// [`Event::Propagation`] after the trial's event. A trace *level*,
     /// not an experiment parameter: censuses, records, traces, and
-    /// journals are byte-identical with or without it, so — like `sliced`
+    /// journals are byte-identical with or without it, so — like `engine`
     /// and `threads` — it is deliberately not part of the journal
     /// identity. Timelines are not journaled either: tasks replayed from a
     /// journal contribute no `Propagation` events. Only effective when
@@ -125,8 +154,7 @@ impl CampaignConfig {
             monitor_cycles: 3_000,
             seed,
             threads: 0,
-            sliced: false,
-            pruned: false,
+            engine: Engine::default(),
             deep_trace: false,
             panic_shim: None,
         }
@@ -148,8 +176,7 @@ impl CampaignConfig {
             monitor_cycles: 10_000,
             seed,
             threads: 0,
-            sliced: false,
-            pruned: false,
+            engine: Engine::default(),
             deep_trace: false,
             panic_shim: None,
         }
@@ -169,8 +196,7 @@ impl CampaignConfig {
             monitor_cycles: 10_000,
             seed,
             threads: 0,
-            sliced: false,
-            pruned: false,
+            engine: Engine::default(),
             deep_trace: false,
             panic_shim: None,
         }
@@ -336,7 +362,7 @@ pub struct CampaignResult {
     /// model has an escape (or the test shim forced one).
     pub quarantined: Vec<CampaignQuarantine>,
     /// Pruner disposition totals over the live-executed tasks. `None`
-    /// unless the campaign ran with `pruned` (journal-replayed tasks
+    /// unless the campaign ran on [`Engine::Pruned`] (journal-replayed tasks
     /// contribute nothing: their trials were not re-pruned).
     pub prune: Option<PruneDispositions>,
 }
@@ -507,77 +533,71 @@ fn scatter_of(bench: usize, records: &[TrialRecord]) -> ScatterPoint {
 }
 
 /// Dispatches one task's drawn trial plan to the configured engine
-/// (snapshot ladder, sliced, or pruned) at the requested trace level.
-/// The single definition keeps the in-process pool and the distributed
-/// worker on the same machine code, so a worker's results are
-/// byte-identical to the local run's by construction.
+/// (snapshot ladder, sliced, or pruned) at the requested trace level, with
+/// the plan's access answers from the golden pass. The single definition
+/// keeps the in-process pool and the distributed worker on the same
+/// machine code, so a worker's results are byte-identical to the local
+/// run's by construction.
 fn run_engine(
     config: &CampaignConfig,
     sp: &StartPoint,
-    specs: &[TrialSpec],
     shim: Option<usize>,
     traced: bool,
     deep: bool,
 ) -> (crate::trial::TracedBatch, Option<PruneDispositions>) {
-    let mut prune = None;
-    let batch = match (traced, config.pruned, config.sliced) {
-        (true, true, _) => {
-            let (batch, d) = sp.run_trials_pruned_core::<true>(
-                config.mask,
-                specs,
-                config.monitor_cycles,
-                crate::sliced::LANE_WIDTH,
-                shim,
-                deep,
-            );
-            prune = Some(d);
-            batch
+    let (mask, monitor, specs) = (config.mask, config.monitor_cycles, sp.plan());
+    let answers = sp.plan_answers();
+    let width = crate::sliced::LANE_WIDTH;
+    match (config.engine, traced) {
+        (Engine::Ladder, true) => (sp.run_trials_core::<true>(mask, specs, monitor, shim, deep), None),
+        (Engine::Ladder, false) => {
+            (sp.run_trials_core::<false>(mask, specs, monitor, shim, false), None)
         }
-        (false, true, _) => {
-            let (batch, d) = sp.run_trials_pruned_core::<false>(
-                config.mask,
-                specs,
-                config.monitor_cycles,
-                crate::sliced::LANE_WIDTH,
-                shim,
-                false,
-            );
-            prune = Some(d);
-            batch
-        }
-        (true, false, false) => {
-            sp.run_trials_core::<true>(config.mask, specs, config.monitor_cycles, shim, deep)
-        }
-        (false, false, false) => {
-            sp.run_trials_core::<false>(config.mask, specs, config.monitor_cycles, shim, false)
-        }
-        (true, false, true) => sp.run_trials_sliced_core::<true>(
-            config.mask,
-            specs,
-            config.monitor_cycles,
-            crate::sliced::LANE_WIDTH,
-            shim,
-            deep,
+        (Engine::Sliced, true) => (
+            sp.run_trials_sliced_core::<true>(mask, specs, answers, monitor, width, shim, deep),
+            None,
         ),
-        (false, false, true) => sp.run_trials_sliced_core::<false>(
-            config.mask,
-            specs,
-            config.monitor_cycles,
-            crate::sliced::LANE_WIDTH,
-            shim,
-            false,
+        (Engine::Sliced, false) => (
+            sp.run_trials_sliced_core::<false>(mask, specs, answers, monitor, width, shim, false),
+            None,
         ),
-    };
-    (batch, prune)
+        (Engine::Pruned, true) => {
+            let (batch, d) =
+                sp.run_trials_pruned_core::<true>(mask, specs, answers, monitor, width, shim, deep);
+            (batch, Some(d))
+        }
+        (Engine::Pruned, false) => {
+            let (batch, d) = sp
+                .run_trials_pruned_core::<false>(mask, specs, answers, monitor, width, shim, false);
+            (batch, Some(d))
+        }
+    }
 }
 
-/// The golden timeline every start point of `workload` views: one TLB
-/// probe, one warm-up to the first start point, one golden pass over the
-/// union of the campaign's windows.
-pub(crate) fn campaign_timeline(config: &CampaignConfig, workload: &Workload) -> GoldenTimeline {
+/// The golden timeline every start point of benchmark `bench` views: one
+/// TLB probe, one warm-up to the first start point, one golden pass over
+/// the union of the campaign's windows that also draws and answers every
+/// start point's trial plan.
+pub(crate) fn campaign_timeline(
+    config: &CampaignConfig,
+    bench: usize,
+    workload: &Workload,
+) -> GoldenTimeline {
     let program: Program = workload.build(config.scale);
     let warmed = warm_pipeline(&program, config.pipeline, config.warmup_cycles);
-    GoldenTimeline::build(warmed, &config.start_offsets(), config.horizon(), config.mask)
+    golden_pass(config, bench, warmed)
+}
+
+/// The campaign's golden pass over a pipeline already warmed to the first
+/// start point.
+fn golden_pass(config: &CampaignConfig, bench: usize, warmed: tfsim_uarch::Pipeline) -> GoldenTimeline {
+    GoldenTimeline::build(
+        warmed,
+        &config.start_offsets(),
+        config.horizon(),
+        config.mask,
+        Some(PassPlans { config, bench }),
+    )
 }
 
 /// The order tasks are handed out in, first task first: benchmark-major,
@@ -601,16 +621,18 @@ pub(crate) fn task_order(
 /// campaigns). Every (benchmark, start point) task owns PRNG substream
 /// `bench << 32 | start_point` of the campaign seed, so the plan is a pure
 /// function of the config — not of thread count or work-stealing order.
-fn draw_plan(
+/// The golden pass draws it when it reaches the start point, whose
+/// checkpoint has `bit_count` eligible bits.
+pub(crate) fn draw_plan(
     config: &CampaignConfig,
-    sp: &StartPoint,
+    bit_count: u64,
     bench: usize,
     start_point: u32,
 ) -> Vec<TrialSpec> {
     let mut rng = Rng::from_seed_stream(config.seed, (bench as u64) << 32 | start_point as u64);
     (0..config.trials_per_start_point)
         .map(|_| TrialSpec {
-            target: rng.gen_range(0..sp.bit_count()),
+            target: rng.gen_range(0..bit_count),
             inject_cycle: rng.gen_range(0..config.inject_window),
         })
         .collect()
@@ -629,16 +651,15 @@ pub(crate) fn execute_task(
     start_point: u32,
 ) -> JournaledTask {
     let sp = golden.start_point(start_point as usize);
-    let specs = draw_plan(config, &sp, bench, start_point);
     let shim = config
         .panic_shim
         .and_then(|(b, s, t)| (b == bench && s == start_point).then_some(t as usize));
-    let (batch, _prune) = run_engine(config, &sp, &specs, shim, true, false);
+    let (batch, _prune) = run_engine(config, &sp, shim, true, false);
     JournaledTask {
         bench,
         start_point,
         eligible_bits: sp.bit_count(),
-        specs,
+        specs: sp.plan().to_vec(),
         records: batch.records,
         traces: batch.traces,
         faults: batch.faults,
@@ -942,10 +963,11 @@ fn run_campaign_core(
                 let (bench, start_point) = claim.task();
                 let w = &workloads[bench];
                 // Per-task span scratchpad: campaign → benchmark → spN →
-                // {warmup, golden, trials, journal}, merged into the shared
-                // profiler once, after the task. Every task opens the same
-                // spans; only the task that builds the benchmark's shared
-                // timeline does work in `warmup` and `golden`.
+                // {warmup, golden, footprint, trials, journal}, merged into
+                // the shared profiler once, after the task. Every task
+                // opens the same spans; only the task that builds the
+                // benchmark's shared timeline does work in `warmup`,
+                // `golden` and `footprint`.
                 let mut spans = obs.spans.map(|_| {
                     let mut ls = LocalSpans::new();
                     ls.enter("campaign");
@@ -963,31 +985,32 @@ fn run_campaign_core(
                 let t1 = traced.then(Instant::now);
                 if let Some(ls) = spans.as_mut() {
                     ls.exit();
-                    ls.enter("golden");
                 }
-                let golden = match claim {
-                    Claim::Run(_, _, golden) => golden,
-                    Claim::Build(_, _, guard) => guard.publish(GoldenTimeline::build(
-                        warmed.expect("warmed above"),
-                        &config.start_offsets(),
-                        config.horizon(),
-                        config.mask,
-                    )),
+                let (golden, answer_ns) = match claim {
+                    Claim::Run(_, _, golden) => (golden, 0),
+                    Claim::Build(_, _, guard) => {
+                        let timeline = golden_pass(config, bench, warmed.expect("warmed above"));
+                        let answer_ns = timeline.footprint_ns;
+                        (guard.publish(timeline), answer_ns)
+                    }
                 };
                 let sp = golden.start_point(start_point as usize);
                 let t2 = traced.then(Instant::now);
                 if let Some(ls) = spans.as_mut() {
-                    ls.exit();
+                    // The pass's plan drawing and answering is its own
+                    // layer, `footprint`, beside the fingerprint pass.
+                    let pass_ns = t1.zip(t2).map_or(0, |(a, b)| (b - a).as_nanos() as u64);
+                    ls.record("golden", pass_ns.saturating_sub(answer_ns), 1);
+                    ls.record("footprint", answer_ns, 1);
                 }
 
-                let specs = draw_plan(config, &sp, bench, start_point);
                 let shim = config
                     .panic_shim
                     .and_then(|(b, s, t)| (b == bench && s == start_point).then_some(t as usize));
                 if let Some(ls) = spans.as_mut() {
                     ls.enter("trials");
                 }
-                let (batch, prune) = run_engine(config, &sp, &specs, shim, traced, deep);
+                let (batch, prune) = run_engine(config, &sp, shim, traced, deep);
                 if let Some(ls) = spans.as_mut() {
                     // Engine-internal phase attribution: counted by the
                     // batch itself (no extra clocks here), charged as
@@ -996,7 +1019,6 @@ fn run_campaign_core(
                     ls.record("ride", batch.ride_ns, 1);
                     ls.record("classify", batch.classify_ns, 1);
                     ls.record("prune", batch.prune_ns, 1);
-                    ls.record("footprint", batch.footprint_ns, 1);
                     ls.exit();
                 }
                 let (records, traces, deeps, faults, advance_ns, monitor_ns) = (
@@ -1050,7 +1072,7 @@ fn run_campaign_core(
                     bench,
                     start_point,
                     eligible_bits: sp.bit_count(),
-                    specs: specs.clone(),
+                    specs: sp.plan().to_vec(),
                     records: records.clone(),
                     traces: traces.clone(),
                     faults: faults.clone(),
@@ -1063,7 +1085,7 @@ fn run_campaign_core(
                     eligible_bits: sp.bit_count(),
                     faults,
                     prune,
-                    specs,
+                    specs: sp.plan().to_vec(),
                     traces,
                     deeps,
                     warmup_ns,

@@ -23,26 +23,44 @@
 //!   an instruction committing after the window's last cycle was never
 //!   seen to commit by a single-window run, so it counts nowhere in that
 //!   window, and the count at index `horizon` is always 0.
+//!
+//! A campaign pass also draws each start point's trial plan as it reaches
+//! the start cycle and, unless the campaign runs on the ladder, answers the
+//! plan's access questions (`crate::footprint`) with extended access
+//! tracking on: one answer per trial, never an access history. Tracking
+//! only observes — a tracked pass's rows, records, halt and checkpoints
+//! equal an untracked pass's, and checkpoints leave the pass with tracking
+//! off (both pinned below).
 
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::Arc;
+use std::time::Instant;
 
 use tfsim_arch::RetireRecord;
 use tfsim_bitstate::{BitCount, CachedFingerprint, InjectionMask, UnitId, VisitState};
 use tfsim_uarch::{FlowEvent, Pipeline, RetireEvent};
 
-use crate::trial::StartPoint;
+use crate::campaign::{draw_plan, CampaignConfig, Engine};
+use crate::footprint::{Answer, CycleAgg, Questions};
+use crate::trial::{StartPoint, TrialSpec};
 
 /// One start point's checkpoint and where its window sits in the pass.
 struct Window {
     /// Row of the checkpoint (cycles after the first start point).
     row: usize,
-    /// The machine at the start cycle, flow log off.
+    /// The machine at the start cycle, flow log and access tracking off.
     checkpoint: Pipeline,
     /// Retire records before the checkpoint and by the window's end.
-    records: std::ops::Range<usize>,
+    records: Range<usize>,
     /// Eligible bits of the checkpoint under the campaign mask.
     bit_count: u64,
+    /// The campaign's trial plan for this start point (empty outside a
+    /// campaign pass).
+    plan: Vec<TrialSpec>,
+    /// The plan's access answers in the timeline's `answers` (empty when
+    /// the pass did not track).
+    answers: Range<usize>,
 }
 
 /// Per-cycle golden state over the union of a benchmark's windows.
@@ -55,6 +73,9 @@ pub(crate) struct GoldenTimeline {
     unit_fps: Vec<[u128; UnitId::COUNT]>,
     /// The machine's retirement count at each row (not rebased).
     instret: Vec<u64>,
+    /// What the step into each row retired and flushed (row 0 and frozen
+    /// rows: nothing).
+    aggs: Vec<CycleAgg>,
     records: Vec<RetireRecord>,
     /// Row of the step that halted the machine, with the exit code.
     halted_at: Option<(u64, u64)>,
@@ -63,6 +84,10 @@ pub(crate) struct GoldenTimeline {
     committed: Vec<(u64, u64)>,
     windows: Vec<Window>,
     horizon: u64,
+    /// Every window's plan answers, window by window.
+    answers: Vec<Option<Answer>>,
+    /// Wall time the pass spent drawing plans and answering them.
+    pub(crate) footprint_ns: u64,
 }
 
 /// Turns the flow log into committed `(fetch, commit)` spans as it is
@@ -96,11 +121,23 @@ impl FlowSpans {
     }
 }
 
+/// The campaign a pass serves: its config and the benchmark's index, which
+/// fix every start point's trial plan.
+#[derive(Clone, Copy)]
+pub(crate) struct PassPlans<'a> {
+    pub(crate) config: &'a CampaignConfig,
+    pub(crate) bench: usize,
+}
+
 impl GoldenTimeline {
     /// Runs the golden pass from `golden`, a pipeline warmed to the first
     /// start point with its flow log on since reset. `starts` are the
     /// start points' offsets from the first, non-decreasing and beginning
     /// at 0; every window runs `horizon` cycles.
+    ///
+    /// With `plans`, each start point's trial plan is drawn at its start
+    /// cycle and, unless the campaign's engine is the ladder, the plan's
+    /// access questions are answered during the pass.
     ///
     /// # Panics
     ///
@@ -110,16 +147,19 @@ impl GoldenTimeline {
         starts: &[u64],
         horizon: u64,
         mask: InjectionMask,
+        plans: Option<PassPlans<'_>>,
     ) -> GoldenTimeline {
         assert_eq!(starts.first(), Some(&0), "the first window starts the pass");
         assert!(
             starts.windows(2).all(|w| w[0] <= w[1]),
             "start points must not descend"
         );
+        let track = plans.is_some_and(|p| p.config.engine != Engine::Ladder);
         let rows = (starts[starts.len() - 1] + horizon + 1) as usize;
         let mut fps = Vec::with_capacity(rows);
         let mut unit_fps = Vec::with_capacity(rows);
         let mut instret = Vec::with_capacity(rows);
+        let mut aggs = Vec::with_capacity(rows);
         let mut records = Vec::new();
         let mut halted_at = None;
         let mut flow = FlowSpans {
@@ -127,6 +167,9 @@ impl GoldenTimeline {
             committed: Vec::new(),
             after: golden.cycles(),
         };
+        let mut questions = Questions::default();
+        let mut footprint_ns = 0u64;
+        golden.set_access_tracking_extended(track);
         let mut windows: Vec<Window> = Vec::with_capacity(starts.len());
         let mut next_start = starts.iter().peekable();
         // The golden machine mutates only through `step()`, so unit stamps
@@ -138,11 +181,18 @@ impl GoldenTimeline {
                 fps.push(fps[row - 1]);
                 unit_fps.push(unit_fps[row - 1]);
                 instret.push(instret[row - 1]);
+                aggs.push(CycleAgg::default());
             } else {
+                let mut agg = CycleAgg::default();
                 if row > 0 {
-                    for ev in golden.step().events {
+                    let report = golden.step();
+                    agg.pflush = report.protective_flush;
+                    for ev in report.events {
                         match ev {
-                            RetireEvent::Retired(r) => records.push(r),
+                            RetireEvent::Retired(r) => {
+                                agg.retired += 1;
+                                records.push(r);
+                            }
                             RetireEvent::Halted { code } => {
                                 halted_at.get_or_insert((row as u64, code));
                             }
@@ -151,23 +201,41 @@ impl GoldenTimeline {
                             }
                         }
                     }
+                    if track {
+                        let t = Instant::now();
+                        questions.drain(&mut golden, row as u64);
+                        footprint_ns += t.elapsed().as_nanos() as u64;
+                    }
                 }
                 fps.push(engine.fingerprint(&mut golden));
                 unit_fps.push(*engine.unit_hashes());
                 instret.push(golden.instret());
+                aggs.push(agg);
             }
             while next_start.next_if_eq(&&(row as u64)).is_some() {
                 // Drain first so the checkpoint clone carries no log.
                 flow.drain(&mut golden);
                 let mut checkpoint = golden.clone();
                 checkpoint.disable_flow_log();
+                checkpoint.set_access_tracking_extended(false);
                 let mut count = BitCount::new(mask);
                 checkpoint.visit_state(&mut count);
+                let t = Instant::now();
+                let plan = plans.map_or_else(Vec::new, |p| {
+                    draw_plan(p.config, count.count, p.bench, windows.len() as u32)
+                });
+                let first = questions.len();
+                if track {
+                    questions.ask(&mut checkpoint, mask, &plan, row as u64, horizon);
+                }
+                footprint_ns += t.elapsed().as_nanos() as u64;
                 windows.push(Window {
                     row,
                     checkpoint,
                     records: records.len()..records.len(),
                     bit_count: count.count,
+                    plan,
+                    answers: first..questions.len(),
                 });
             }
             for w in windows
@@ -182,11 +250,14 @@ impl GoldenTimeline {
             fps,
             unit_fps,
             instret,
+            aggs,
             records,
             halted_at,
             committed: flow.committed,
             windows,
             horizon,
+            answers: questions.into_answers(),
+            footprint_ns,
         }
     }
 
@@ -204,8 +275,6 @@ impl GoldenTimeline {
             base_instret: self.instret[w.row],
             halted_at,
             valid_counts: self.valid_counts(w),
-            footprint: OnceLock::new(),
-            footprint_ext: OnceLock::new(),
         }
     }
 
@@ -274,16 +343,37 @@ impl StartPoint {
         &self.golden.records[self.golden.windows[self.window].records.clone()]
     }
 
+    /// What the golden step into relative cycle `cycle` retired and
+    /// flushed (nothing once the golden run has halted).
+    pub(crate) fn agg(&self, cycle: u64) -> CycleAgg {
+        debug_assert!(cycle <= self.horizon());
+        self.golden.aggs[self.row + cycle as usize]
+    }
+
     /// Number of eligible bits under the campaign mask.
     pub fn bit_count(&self) -> u64 {
         self.golden.windows[self.window].bit_count
+    }
+
+    /// The campaign's trial plan for this start point, drawn by the golden
+    /// pass (empty outside a campaign).
+    pub(crate) fn plan(&self) -> &[TrialSpec] {
+        &self.golden.windows[self.window].plan
+    }
+
+    /// The pass's access answers for [`StartPoint::plan`], aligned with it,
+    /// or `None` when the pass did not answer them (the ladder).
+    pub(crate) fn plan_answers(&self) -> Option<&[Option<Answer>]> {
+        let w = &self.golden.windows[self.window];
+        (w.answers.len() == w.plan.len()).then(|| &self.golden.answers[w.answers.clone()])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{campaign_timeline, CampaignConfig};
+    use crate::campaign::{campaign_timeline, CampaignConfig, Engine};
+    use crate::footprint::{resolve, Access, Footprint};
     use crate::trial::warm_pipeline;
     use tfsim_bitstate::fingerprint_of;
     use tfsim_isa::{Asm, Program, Reg};
@@ -447,7 +537,7 @@ mod tests {
         config.monitor_cycles = 1_000;
         for name in ["gzip-like", "mcf-like"] {
             let workload = tfsim_workloads::by_name(name).expect("workload");
-            let golden = Arc::new(campaign_timeline(&config, &workload));
+            let golden = Arc::new(campaign_timeline(&config, 0, &workload));
             let program = workload.build(config.scale);
             for k in 0..config.start_points {
                 let warm = config.warmup_cycles + config.spacing_cycles * k as u64;
@@ -459,6 +549,89 @@ mod tests {
                     config.horizon(),
                     config.mask,
                     &format!("{name} sp{k}"),
+                );
+            }
+        }
+    }
+
+    /// A small campaign shape: three overlapping windows per benchmark.
+    fn small_campaign(pipeline: PipelineConfig, engine: Engine) -> CampaignConfig {
+        let mut config = CampaignConfig::quick(9);
+        config.scale = 1;
+        config.start_points = 3;
+        config.trials_per_start_point = 60;
+        config.monitor_cycles = 1_000;
+        config.pipeline = pipeline;
+        config.engine = engine;
+        config
+    }
+
+    /// Every planned trial's answer from the shared pass equals the first
+    /// event after its injection on a stored per-window history, and the
+    /// timeline's per-cycle aggregates equal that replay's.
+    #[test]
+    fn pass_answers_equal_the_stored_footprint() {
+        for pipeline in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+            let config = small_campaign(pipeline, Engine::Pruned);
+            for (bench, name) in ["gzip-like", "mcf-like"].into_iter().enumerate() {
+                let workload = tfsim_workloads::by_name(name).expect("workload");
+                let golden = Arc::new(campaign_timeline(&config, bench, &workload));
+                let mut reads = 0;
+                for k in 0..config.start_points as usize {
+                    let sp = golden.start_point(k);
+                    let what = format!("{name} sp{k} ({pipeline:?})");
+                    let oracle = Footprint::build(&sp, true);
+                    for c in 1..=sp.horizon() {
+                        assert_eq!(sp.agg(c), oracle.percycle[c as usize], "{what}: agg({c})");
+                    }
+                    let targets: Vec<u64> = sp.plan().iter().map(|s| s.target).collect();
+                    let spans = resolve(&mut sp.checkpoint().clone(), config.mask, &targets);
+                    let answers = sp.plan_answers().expect("a tracked pass answers its plans");
+                    assert_eq!(sp.plan().len(), config.trials_per_start_point as usize);
+                    assert_eq!(answers.len(), sp.plan().len(), "{what}");
+                    for ((spec, got), span) in sp.plan().iter().zip(answers).zip(spans) {
+                        let want = oracle.answer(span, sp.checkpoint(), *spec, sp.horizon());
+                        assert_eq!(*got, want, "{what}: {spec:?}");
+                        reads += matches!(got.map(|a| a.access), Some(Access::Read(_))) as usize;
+                    }
+                    // The standalone path answers the same plan identically.
+                    assert_eq!(sp.answer(config.mask, sp.plan()), answers, "{what}");
+                }
+                assert!(reads > 0, "{name}: some planned trial must be consumed");
+            }
+        }
+    }
+
+    /// Tracking only observes: a tracked pass's rows, records, halt, plans
+    /// and checkpoints equal an untracked pass's, and no checkpoint leaves
+    /// either pass with tracking on.
+    #[test]
+    fn tracked_pass_equals_untracked_pass() {
+        for pipeline in [PipelineConfig::baseline(), PipelineConfig::protected()] {
+            let workload = tfsim_workloads::by_name("gzip-like").expect("workload");
+            let tracked =
+                campaign_timeline(&small_campaign(pipeline, Engine::Pruned), 0, &workload);
+            let plain = campaign_timeline(&small_campaign(pipeline, Engine::Ladder), 0, &workload);
+            assert_eq!(tracked.fps, plain.fps, "fps");
+            assert_eq!(tracked.unit_fps, plain.unit_fps, "unit_fps");
+            assert_eq!(tracked.instret, plain.instret, "instret");
+            assert_eq!(tracked.aggs, plain.aggs, "aggs");
+            assert_eq!(tracked.records, plain.records, "records");
+            assert_eq!(tracked.halted_at, plain.halted_at, "halted_at");
+            assert_eq!(tracked.committed, plain.committed, "commit spans");
+            assert!(plain.answers.is_empty(), "the ladder's pass must not track");
+            assert_eq!(tracked.answers.len(), 3 * 60);
+            assert_eq!(tracked.windows.len(), plain.windows.len());
+            for (t, p) in tracked.windows.iter().zip(&plain.windows) {
+                assert_eq!(t.plan, p.plan, "plans");
+                assert_eq!((t.row, t.bit_count), (p.row, p.bit_count));
+                assert!(!t.checkpoint.access_tracking(), "tracked checkpoint at row {}", t.row);
+                assert!(!p.checkpoint.access_tracking());
+                assert_eq!(
+                    fingerprint_of(&mut t.checkpoint.clone()),
+                    fingerprint_of(&mut p.checkpoint.clone()),
+                    "checkpoint at row {}",
+                    t.row
                 );
             }
         }
@@ -500,6 +673,7 @@ mod tests {
             &offsets,
             HORIZON,
             mask,
+            None,
         ));
         let halts: Vec<_> = (0..offsets.len())
             .map(|k| golden.start_point(k).halted_at)

@@ -728,14 +728,14 @@ mod tests {
         config.mask = InjectionMask::LatchesOnly;
         config.pipeline = tfsim_uarch::PipelineConfig::protected();
         config.threads = 3; // execution strategy: not part of the identity
-        config.sliced = true;
+        config.engine = crate::Engine::Ladder;
         let workloads = tfsim_workloads::all();
         let m = JournalMeta::new(&config, &workloads);
         let back = JournalMeta::parse(&m.render()).unwrap();
         assert_eq!(back, m);
         let (rebuilt_config, rebuilt_workloads) = back.to_campaign().unwrap();
         assert_eq!(JournalMeta::new(&rebuilt_config, &rebuilt_workloads), m);
-        assert!(!rebuilt_config.sliced, "strategy fields reset to defaults");
+        assert_eq!(rebuilt_config.engine, crate::Engine::default(), "strategy fields reset to defaults");
     }
 
     #[test]

@@ -81,6 +81,8 @@ pub struct LeaseTable {
     /// Tasks that have been granted at least once (expired grants land
     /// back in `pending`; a re-grant of one of these counts `regranted`).
     ever_granted: BTreeSet<TaskId>,
+    /// The benchmark each worker was last granted (its cached timeline).
+    affinity: BTreeMap<u64, usize>,
     next_token: u64,
     lease_ms: u64,
     stats: LeaseStats,
@@ -96,16 +98,31 @@ impl LeaseTable {
             leases: BTreeMap::new(),
             done: BTreeSet::new(),
             ever_granted: BTreeSet::new(),
+            affinity: BTreeMap::new(),
             next_token: 1,
             lease_ms,
             stats: LeaseStats::default(),
         }
     }
 
-    /// Grants the next pending task to `worker`, or `None` if nothing is
+    /// Grants a pending task to `worker`, or `None` if nothing is
     /// currently grantable (all tasks leased or done).
+    ///
+    /// A worker keeps the golden timeline of the benchmark it last ran, and
+    /// building one is a whole golden pass, so the grant prefers, in order:
+    /// the next task of that benchmark; the next task of a benchmark no
+    /// live lease is on; the next task in grant order.
     pub fn grant(&mut self, worker: u64, now_ms: u64) -> Option<(TaskId, u64)> {
-        let task = self.pending.pop()?;
+        let cached = self.affinity.get(&worker).copied();
+        let busy: BTreeSet<usize> = self.leases.values().map(|l| l.task.0).collect();
+        let i = self
+            .pending
+            .iter()
+            .rposition(|t| Some(t.0) == cached)
+            .or_else(|| self.pending.iter().rposition(|t| !busy.contains(&t.0)))
+            .or_else(|| self.pending.len().checked_sub(1))?;
+        let task = self.pending.remove(i);
+        self.affinity.insert(worker, task.0);
         let token = self.next_token;
         self.next_token += 1;
         self.leases.insert(token, Lease { task, worker, deadline_ms: now_ms + self.lease_ms });
@@ -209,6 +226,22 @@ mod tests {
     fn table(n: usize, lease_ms: u64) -> LeaseTable {
         // Tasks (0,0)..(0,n), granted back-to-front.
         LeaseTable::new((0..n as u64).map(|sp| (0, sp)).collect(), lease_ms)
+    }
+
+    #[test]
+    fn workers_keep_to_their_benchmark() {
+        // Two benchmarks of three tasks, granted back-to-front.
+        let tasks: Vec<TaskId> = (0..2).rev().flat_map(|b| (0..3).rev().map(move |s| (b, s))).collect();
+        let mut t = LeaseTable::new(tasks, 100);
+        let (a0, ta) = t.grant(1, 0).unwrap();
+        let (b0, tb) = t.grant(2, 0).unwrap();
+        assert_eq!((a0, b0), ((0, 0), (1, 0)), "a second worker starts another benchmark");
+        t.complete(b0, tb);
+        assert_eq!(t.grant(2, 0).unwrap().0, (1, 1), "and stays on it");
+        t.complete(a0, ta);
+        assert_eq!(t.grant(1, 0).unwrap().0, (0, 1));
+        // A third worker finds every benchmark busy: next in order.
+        assert_eq!(t.grant(3, 0).unwrap().0, (0, 2));
     }
 
     #[test]

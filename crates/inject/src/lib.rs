@@ -66,7 +66,7 @@ mod trial;
 
 pub use campaign::{
     run_campaign, run_campaign_journaled, run_campaign_observed, run_campaign_on,
-    run_campaign_with_tasks, BenchmarkResult, CampaignConfig, CampaignMetrics, CampaignObs,
+    run_campaign_with_tasks, BenchmarkResult, CampaignConfig, Engine, CampaignMetrics, CampaignObs,
     CampaignQuarantine, CampaignResult, OutcomeCounts, ScatterPoint,
 };
 pub use journal::{CampaignJournal, JournalMeta, JournaledTask};

@@ -1,5 +1,5 @@
-//! The analytic masking pruner: dead-window proofs and site equivalence
-//! classes over the extended-tier golden access footprint.
+//! The analytic masking pruner: dead-window proofs over the extended
+//! access tier.
 //!
 //! The sliced engine (`crate::sliced`) already discharges rides and heals
 //! analytically, but only for the core-tier tracked structures (LSQ,
@@ -9,10 +9,11 @@
 //! clock: most land in idle entries of the big untracked RAMs and grind a
 //! full monitoring window to conclude nothing happened.
 //!
-//! The pruner runs once per batch, before any trial, using the
-//! [`Tier::Extended`] footprint (one extra tracked golden replay per start
-//! point, built lazily and cached). Every site gets exactly one of three
-//! dispositions:
+//! The pruner runs once per batch, before any trial, on each site's
+//! extended-tier access answer (`crate::footprint`: the first golden
+//! access to the flipped word after injection — answered by the
+//! campaign's golden pass, or by one tracked replay for a standalone
+//! batch). Every site gets exactly one of two dispositions:
 //!
 //! * **Proved dead** — the fault provably never alters the classification
 //!   relative to the analytic rider:
@@ -26,15 +27,11 @@
 //!   These sites produce their records through the same analytic
 //!   classifier the sliced engine uses ([`StartPoint::ride_lane`]) and
 //!   never occupy a lane.
-//! * **Class-collapsed** — surviving sites that share a word, the same
-//!   inter-access gap, and the same decision-loop state at the first read
-//!   are grouped into an *equivalence class*: their machines are
-//!   bit-identical at the moment the fault is consumed, so one
-//!   representative trial determines every member's outcome. The
-//!   representative simulates; members multiply its outcome into the
-//!   census.
-//! * **Simulated** — everything else (plus class representatives and
-//!   singleton classes) delegates to the sliced engine unchanged.
+//! * **Simulated** — everything else delegates to the sliced engine with
+//!   its answer. There every such site peels to the scalar ladder: a site
+//!   the pruner could not discharge either has its first access inside the
+//!   window being a read, or lies outside the extended tier and so outside
+//!   the core one.
 //!
 //! # Proof obligations
 //!
@@ -48,88 +45,31 @@
 //!    restores the golden value no matter the δ. The extended tier may
 //!    under-claim a write by logging a read instead (the ROB does), which
 //!    only demotes a site to `simulated` — never the reverse.
-//! 3. *Class members are state-identical at consumption.* Two faults in
-//!    the same word and the same access gap build the same machine: golden
-//!    state plus the same δ, untouched since injection. The class key adds
-//!    the classifier's loop state (last retire cycle, protective-flush
-//!    streak) at the first read, and membership requires the dense
-//!    fingerprint-check cadence to have elapsed (`inject + 64 < read`), so
-//!    the decision walk from the read onward is step-for-step identical
-//!    for every member. The only member-dependent outputs are the
-//!    injection cycle, the valid-instruction count (both taken from the
-//!    member's own spec), and the window horizon — a member whose shorter
-//!    window expires before the representative's decision cycle grays out
-//!    at its own horizon, exactly as its scalar run would.
-//!
-//! The one knowing deviation: a member whose scalar run would *panic*
-//! (quarantine) is instead derived from its non-panicking representative.
-//! Panics are harness escapes, not outcomes; a representative that panics
-//! falls back to simulating every member individually, so the census only
-//! ever differs where the unpruned path had no census entry at all.
 
-use std::collections::BTreeMap;
+use std::time::Instant;
 
 use tfsim_bitstate::InjectionMask;
-use tfsim_obs::{DeepTrace, PruneDispositions};
+use tfsim_obs::PruneDispositions;
 
-use crate::footprint::{first_event_after, Resolver, Span, Tier};
-use crate::trial::{
-    Outcome, StartPoint, TracedBatch, TrialFault, TrialObservers, TrialRecord, TrialSpec, TrialTrace,
-};
+use crate::footprint::{Access, Answer, Span};
 use crate::sliced::LANE_WIDTH;
-
-/// Identity of an equivalence class: same word and bit, same inter-access
-/// gap (by timeline index, which fixes the first-read cycle), and the same
-/// analytic decision-loop state carried into that read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct ClassKey {
-    target: u64,
-    /// Index of the first post-injection event in the word's timeline.
-    gap: usize,
-    /// `last_retire_cycle` at the start of the first-read step.
-    last_retire: u64,
-    /// `flushes_without_retire` at the start of the first-read step.
-    flushes: u32,
-}
-
-/// Per-site pruning decision.
-#[derive(Clone, Copy)]
-enum Plan {
-    /// Proved dead: the analytic rider produces the record.
-    Analytic { span: Span, heal: Option<u64> },
-    /// Delegate to the sliced engine (residuals, representatives,
-    /// singletons, and the forced-panic shim).
-    Simulate,
-    /// Derive the record from the class representative's trial.
-    Derived { rep: usize, span: Span },
-}
-
-/// Result of walking the golden aggregates from `inject` through `end`.
-enum Prefix {
-    /// A decision fires at or before `end`: the analytic classifier fully
-    /// determines the record without the fault ever being consumed.
-    Decided,
-    /// No decision: the loop state at the start of step `end + 1`.
-    Pending { last_retire: u64, flushes: u32 },
-}
+use crate::trial::{StartPoint, TracedBatch, TrialFault, TrialObservers, TrialRecord, TrialSpec};
 
 impl StartPoint {
-    /// Mirrors the decision loop of [`StartPoint::ride_lane`] over the
-    /// steps `(inject, end]`, reporting whether any golden-aggregate
-    /// decision (lock, halt, ran-ahead) fires in that prefix. Fingerprint
-    /// checks cannot decide here — the δ is still latent — so they are
-    /// irrelevant to the walk.
-    fn walk_prefix(&self, inject: u64, end: u64) -> Prefix {
-        let fp = self.extended_footprint();
+    /// Whether a golden-aggregate decision (lock, halt, ran-ahead) fires in
+    /// the steps `(inject, end]` of [`StartPoint::ride_lane`]'s decision
+    /// loop. Fingerprint checks cannot decide there — the δ is still
+    /// latent — so they are irrelevant to the walk.
+    fn decided_by(&self, inject: u64, end: u64) -> bool {
         let running_at = |c: u64| self.halted_at.is_none_or(|(hc, _)| c < hc);
         if !running_at(inject) {
-            return Prefix::Decided;
+            return true;
         }
         let mut matched = self.instret_at(inject) as usize;
         let mut last_retire = inject;
         let mut flushes = 0u32;
         for step in (inject + 1)..=end {
-            let g = fp.percycle[step as usize];
+            let g = self.agg(step);
             if g.retired > 0 {
                 last_retire = step;
                 flushes = 0;
@@ -137,29 +77,79 @@ impl StartPoint {
             if g.pflush {
                 flushes += 1;
                 if flushes >= 3 {
-                    return Prefix::Decided;
+                    return true;
                 }
                 last_retire = step;
             }
             for _ in 0..g.retired {
                 if matched >= self.records().len() {
-                    return Prefix::Decided;
+                    return true;
                 }
                 matched += 1;
             }
-            if let Some((hc, _)) = self.halted_at {
-                if hc == step {
-                    return Prefix::Decided;
-                }
+            if self.halted_at.is_some_and(|(hc, _)| hc == step) {
+                return true;
             }
             if running_at(step) && step - last_retire >= 100 {
-                return Prefix::Decided;
+                return true;
             }
             if !running_at(step) {
                 break;
             }
         }
-        Prefix::Pending { last_retire, flushes }
+        false
+    }
+
+    /// The site's analytic rider arguments `(span, heal cycle)` when the
+    /// pruner proves it dead, from its access answer; `None` when it must
+    /// simulate.
+    /// A site without an answer (outside the extended tier, or injected
+    /// past the window) simulates.
+    fn prove_dead(
+        &self,
+        spec: TrialSpec,
+        answer: Option<Answer>,
+        monitor: u64,
+    ) -> Option<(Span, Option<u64>)> {
+        let c = spec.inject_cycle;
+        let Answer { span, access } = answer?;
+        match access {
+            // Dead window: never accessed again inside the window.
+            Access::Never => Some((span, None)),
+            // Dead window: overwritten before its next read.
+            Access::Write(hc) => Some((span, Some(hc))),
+            // The read falls outside this site's window: within the window
+            // the word is dead.
+            Access::Read(r) if r > self.horizon().min(c + monitor) => Some((span, None)),
+            // Locked/halted before the read: the analytic rider reaches the
+            // identical decision.
+            Access::Read(r) => self.decided_by(c, r - 1).then_some((span, None)),
+        }
+    }
+
+    /// The pruner's per-site dispositions for `answers`: the rider
+    /// arguments of every site proved dead, `None` for every site that
+    /// simulates.
+    fn dispositions(
+        &self,
+        specs: &[TrialSpec],
+        answers: &[Option<Answer>],
+        monitor: u64,
+    ) -> Vec<Option<(Span, Option<u64>)>> {
+        specs
+            .iter()
+            .zip(answers)
+            .map(|(&spec, &answer)| self.prove_dead(spec, answer, monitor))
+            .collect()
+    }
+
+    /// Which sites of `specs` the pruner proves dead, without running any
+    /// trial (one tracked replay answers their access questions). A site
+    /// proved dead here is one [`StartPoint::run_trials_pruned`] counts
+    /// under `proved_dead`.
+    pub fn proved_dead(&self, mask: InjectionMask, specs: &[TrialSpec], monitor: u64) -> Vec<bool> {
+        let answers = self.answer(mask, specs);
+        self.dispositions(specs, &answers, monitor).iter().map(Option::is_some).collect()
     }
 
     /// [`StartPoint::run_trials`] semantics with analytic pruning: the
@@ -172,14 +162,14 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> (Vec<TrialRecord>, PruneDispositions) {
-        let (batch, dispo) =
-            self.run_trials_pruned_core::<false>(mask, specs, monitor, LANE_WIDTH, None, false);
+        let (batch, dispo) = self
+            .run_trials_pruned_core::<false>(mask, specs, None, monitor, LANE_WIDTH, None, false);
         (batch.records, dispo)
     }
 
     /// [`StartPoint::run_trials_pruned`] with an explicit delegate lane
-    /// width in `1..=64`. Pruning decisions depend only on the golden
-    /// footprint, so the records (and the disposition tally) are provably
+    /// width in `1..=64`. Pruning decisions depend only on the access
+    /// answers, so the records (and the disposition tally) are provably
     /// width-independent; the equivalence suite pins both.
     pub fn run_trials_pruned_with_width(
         &self,
@@ -188,8 +178,8 @@ impl StartPoint {
         monitor: u64,
         lane_width: usize,
     ) -> (Vec<TrialRecord>, PruneDispositions) {
-        let (batch, dispo) =
-            self.run_trials_pruned_core::<false>(mask, specs, monitor, lane_width, None, false);
+        let (batch, dispo) = self
+            .run_trials_pruned_core::<false>(mask, specs, None, monitor, lane_width, None, false);
         (batch.records, dispo)
     }
 
@@ -200,352 +190,136 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> (TracedBatch, PruneDispositions) {
-        self.run_trials_pruned_core::<true>(mask, specs, monitor, LANE_WIDTH, None, false)
+        self.run_trials_pruned_core::<true>(mask, specs, None, monitor, LANE_WIDTH, None, false)
     }
 
     /// [`StartPoint::run_trials_deep_traced`] semantics with analytic
-    /// pruning: class members derive their divergence timelines from the
-    /// representative's ([`DeepTrace::derive`] — head cycle pinned to the
-    /// member's own injection, horizon clipped to its window).
+    /// pruning: proved-dead sites synthesize their divergence timelines
+    /// through the analytic rider.
     pub fn run_trials_pruned_deep_traced(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
         monitor: u64,
     ) -> (TracedBatch, PruneDispositions) {
-        self.run_trials_pruned_core::<true>(mask, specs, monitor, LANE_WIDTH, None, true)
+        self.run_trials_pruned_core::<true>(mask, specs, None, monitor, LANE_WIDTH, None, true)
     }
 
     /// The pruning pass plus delegation. Mirrors the contracts of
     /// `run_trials_core`: input-order records, quarantined panics under
-    /// their original spec indices.
+    /// their original spec indices. `answers` as for
+    /// `run_trials_sliced_core`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_trials_pruned_core<const TRACED: bool>(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
+        answers: Option<&[Option<Answer>]>,
         monitor: u64,
         lane_width: usize,
         panic_shim: Option<usize>,
         deep: bool,
     ) -> (TracedBatch, PruneDispositions) {
         let deep = TRACED && deep;
-        // Passes 1 and 2 (and the footprint/resolver builds they need) are
-        // the pruner's own analysis time, attributed to `prune_ns` — they
-        // run before any trial, outside the monitor bracket.
-        let prune_t0 = TRACED.then(std::time::Instant::now);
-        let fp = self.extended_footprint();
-        // The lazy footprint build is its own layer (`footprint_ns`), not
-        // analysis time.
-        let mut footprint_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        let resolver = Resolver::build(self.checkpoint(), mask);
-        let last = self.horizon();
-        let horizon_of = |c: u64| last.min(c + monitor);
-
-        // Pass 1: per-site disposition from the extended footprint.
-        let mut plan: Vec<Plan> = Vec::with_capacity(specs.len());
-        let mut classes: BTreeMap<ClassKey, Vec<usize>> = BTreeMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            if panic_shim == Some(i) || spec.inject_cycle > self.horizon() {
-                plan.push(Plan::Simulate);
-                continue;
+        let fp_t0 = TRACED.then(Instant::now);
+        let replayed;
+        let answers = match answers {
+            Some(a) => a,
+            None => {
+                replayed = self.answer(mask, specs);
+                &replayed
             }
-            let Some(&span) = resolver.resolve(spec.target) else {
-                plan.push(Plan::Simulate);
-                continue;
-            };
-            let tracked = span
-                .unit
-                .is_some_and(|u| Tier::Extended.tracked(self.checkpoint(), u, span.unit_ord));
-            if !tracked {
-                plan.push(Plan::Simulate);
-                continue;
-            }
-            let unit = span.unit.expect("tracked implies unit");
-            let c = spec.inject_cycle;
-            plan.push(match first_event_after(fp.timeline(unit, span.unit_ord), c) {
-                // Dead window: never accessed again inside the window.
-                None => Plan::Analytic { span, heal: None },
-                // Dead window: overwritten before its next read.
-                Some((_, hc, true)) => Plan::Analytic { span, heal: Some(hc as u64) },
-                Some((gap, r, false)) => {
-                    let r = r as u64;
-                    if r > horizon_of(c) {
-                        // The read falls outside this site's window: within
-                        // the window the word is dead.
-                        Plan::Analytic { span, heal: None }
-                    } else {
-                        match self.walk_prefix(c, r - 1) {
-                            // Locked/halted before the read: the analytic
-                            // rider reaches the identical decision.
-                            Prefix::Decided => Plan::Analytic { span, heal: None },
-                            // Class membership requires the dense check
-                            // cadence to have fully elapsed before the
-                            // read, so every member checks on the same
-                            // steps from the read onward.
-                            Prefix::Pending { last_retire, flushes } if c + 64 < r => {
-                                let key =
-                                    ClassKey { target: spec.target, gap, last_retire, flushes };
-                                classes.entry(key).or_default().push(i);
-                                // Provisional: singletons demote below, and
-                                // the representative is picked per class.
-                                Plan::Derived { rep: i, span }
-                            }
-                            Prefix::Pending { .. } => Plan::Simulate,
-                        }
-                    }
-                }
-            });
+        };
+        debug_assert_eq!(answers.len(), specs.len(), "one answer per spec");
+        let prune_t0 = TRACED.then(Instant::now);
+        let footprint_ns = fp_t0.zip(prune_t0).map_or(0, |(a, b)| (b - a).as_nanos() as u64);
+        let mut plan = self.dispositions(specs, answers, monitor);
+        if let Some(shim) = panic_shim {
+            // The forced panic must happen in a simulated trial.
+            plan[shim] = None;
         }
-
-        // Pass 2: pick representatives. The member with the longest window
-        // simulates (ties to the lowest index), so every other member's
-        // horizon is covered by the representative's decision walk.
-        for members in classes.values() {
-            if members.len() == 1 {
-                plan[members[0]] = Plan::Simulate;
-                continue;
-            }
-            let rep = *members
-                .iter()
-                .max_by_key(|&&j| (horizon_of(specs[j].inject_cycle), std::cmp::Reverse(j)))
-                .expect("class is non-empty");
-            for &j in members {
-                if j == rep {
-                    plan[j] = Plan::Simulate;
-                } else if let Plan::Derived { span, .. } = plan[j] {
-                    plan[j] = Plan::Derived { rep, span };
-                }
-            }
-        }
-
-        let prune_ns =
-            prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64).saturating_sub(footprint_ns);
+        let prune_ns = prune_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
 
         // Delegate everything simulated to the sliced engine in one batch.
-        // Always traced internally: representative detect cycles drive the
-        // member derivation, and records are trace-independent.
-        let delegate_idx: Vec<usize> = plan
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Simulate))
-            .map(|(i, _)| i)
-            .collect();
+        let delegate_idx: Vec<usize> = (0..specs.len()).filter(|&i| plan[i].is_none()).collect();
         let delegate_specs: Vec<TrialSpec> = delegate_idx.iter().map(|&i| specs[i]).collect();
+        let delegate_answers: Vec<Option<Answer>> =
+            delegate_idx.iter().map(|&i| answers[i]).collect();
         let delegate_shim = panic_shim.and_then(|s| delegate_idx.binary_search(&s).ok());
-        let sub = self.run_trials_sliced_core::<true>(
+        let sub = self.run_trials_sliced_core::<TRACED>(
             mask,
             &delegate_specs,
+            Some(&delegate_answers),
             monitor,
             lane_width,
             delegate_shim,
             deep,
         );
-        let mut advance_ns = sub.advance_ns;
-        let mut monitor_ns = sub.monitor_ns;
-        let mut ride_ns = sub.ride_ns;
-        let mut classify_ns = sub.classify_ns;
-        footprint_ns += sub.footprint_ns;
-
-        // Scatter the delegate's outputs back to original indices.
-        let mut sub_out: Vec<Option<(TrialRecord, TrialTrace, DeepTrace)>> =
-            vec![None; delegate_idx.len()];
-        {
-            let mut faulted: Vec<usize> = sub.faults.iter().map(|f| f.index).collect();
-            faulted.sort_unstable();
-            let sub_deeps = if deep { sub.deeps } else { vec![DeepTrace::new(); sub.records.len()] };
-            let mut recs = sub
-                .records
-                .into_iter()
-                .zip(sub.traces)
-                .zip(sub_deeps)
-                .map(|((r, t), d)| (r, t, d));
-            for (k, slot) in sub_out.iter_mut().enumerate() {
-                if faulted.binary_search(&k).is_err() {
-                    *slot = recs.next();
-                }
-            }
-        }
-        let mut faults: Vec<TrialFault> = sub
+        let faults: Vec<TrialFault> = sub
             .faults
             .into_iter()
-            .map(|f| TrialFault {
-                index: delegate_idx[f.index],
-                spec: f.spec,
-                panic_msg: f.panic_msg,
-            })
+            .map(|f| TrialFault { index: delegate_idx[f.index], ..f })
             .collect();
 
-        // A quarantined representative cannot vouch for its members: fall
-        // back to simulating each of them individually.
-        let rep_result = |rep: usize| {
-            let k = delegate_idx.binary_search(&rep).expect("representatives are delegated");
-            sub_out[k].clone()
-        };
-        let mut retry_idx: Vec<usize> = plan
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p, Plan::Derived { rep, .. } if rep_result(*rep).is_none()))
-            .map(|(i, _)| i)
-            .collect();
-        retry_idx.sort_unstable();
-        let mut retry_out: Vec<Option<(TrialRecord, TrialTrace, DeepTrace)>> =
-            vec![None; retry_idx.len()];
-        if !retry_idx.is_empty() {
-            let retry_specs: Vec<TrialSpec> = retry_idx.iter().map(|&i| specs[i]).collect();
-            let sub2 = self.run_trials_sliced_core::<true>(
-                mask,
-                &retry_specs,
-                monitor,
-                lane_width,
-                None,
-                deep,
-            );
-            advance_ns += sub2.advance_ns;
-            monitor_ns += sub2.monitor_ns;
-            ride_ns += sub2.ride_ns;
-            classify_ns += sub2.classify_ns;
-            footprint_ns += sub2.footprint_ns;
-            let mut faulted: Vec<usize> = sub2.faults.iter().map(|f| f.index).collect();
-            faulted.sort_unstable();
-            let sub2_deeps =
-                if deep { sub2.deeps } else { vec![DeepTrace::new(); sub2.records.len()] };
-            let mut recs = sub2
-                .records
-                .into_iter()
-                .zip(sub2.traces)
-                .zip(sub2_deeps)
-                .map(|((r, t), d)| (r, t, d));
-            for (k, slot) in retry_out.iter_mut().enumerate() {
-                if faulted.binary_search(&k).is_err() {
-                    *slot = recs.next();
-                }
-            }
-            faults.extend(sub2.faults.into_iter().map(|f| TrialFault {
-                index: retry_idx[f.index],
-                spec: f.spec,
-                panic_msg: f.panic_msg,
-            }));
-        }
-
-        // Pass 3: assemble records in input order.
+        // Assemble records in input order: proved-dead sites ride
+        // analytically, simulated ones take the delegate's next output
+        // unless it quarantined them.
         let mut dispo = PruneDispositions::default();
-        let mut out: Vec<Option<TrialRecord>> = vec![None; specs.len()];
-        let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
-        let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
-        let t0 = TRACED.then(std::time::Instant::now);
-        for (i, p) in plan.iter().enumerate() {
-            let spec = specs[i];
-            match p {
-                Plan::Analytic { span, heal } => {
-                    dispo.proved_dead += 1;
-                    let trace_slot = if TRACED { Some(&mut traces[i]) } else { None };
-                    let deep_slot = if deep { Some(&mut deeps[i]) } else { None };
-                    let obs = TrialObservers { trace: trace_slot, deep: deep_slot };
-                    out[i] = Some(self.ride_lane(fp, span, *heal, spec, monitor, obs));
-                }
-                Plan::Simulate => {
-                    dispo.simulated += 1;
-                    let k = delegate_idx.binary_search(&i).expect("simulated sites delegate");
-                    if let Some((rec, tr, dp)) = sub_out[k].clone() {
-                        out[i] = Some(rec);
-                        if TRACED {
-                            traces[i] = tr;
-                        }
-                        if deep {
-                            deeps[i] = dp;
-                        }
-                    }
-                }
-                Plan::Derived { rep, span } => match rep_result(*rep) {
-                    Some((rrec, rtr, rdeep)) => {
-                        dispo.class_collapsed += 1;
-                        let horizon = horizon_of(spec.inject_cycle);
-                        // The representative's window covers this one; a
-                        // decision past this member's horizon means the
-                        // member's own walk ends undecided.
-                        let outcome = if rtr.detect_cycle <= horizon {
-                            rrec.outcome
-                        } else {
-                            Outcome::GrayArea
-                        };
-                        out[i] = Some(TrialRecord {
-                            outcome,
-                            category: span.category,
-                            kind: span.kind,
-                            unit: span.unit,
-                            inject_cycle: spec.inject_cycle,
-                            valid_instructions: self.valid_at(spec.inject_cycle),
-                        });
-                        if TRACED {
-                            // The first fingerprint check after injection
-                            // always sees the latent δ: divergence is
-                            // immediate and attributed to the site's unit.
-                            traces[i] = TrialTrace {
-                                detect_cycle: rtr.detect_cycle.min(horizon),
-                                divergence_cycle: Some(spec.inject_cycle + 1),
-                                diverged_unit: span.unit,
-                            };
-                        }
-                        if deep {
-                            // Rep and member are state-identical from the
-                            // shared read on, and before it both timelines
-                            // hold the single sample {injected unit}: the
-                            // member's timeline is the rep's with the head
-                            // pinned to its own injection and the tail
-                            // clipped to its own window.
-                            deeps[i] = rdeep.derive(spec.inject_cycle + 1, horizon);
-                        }
-                    }
-                    None => {
-                        dispo.simulated += 1;
-                        let k = retry_idx.binary_search(&i).expect("orphaned members retry");
-                        if let Some((rec, tr, dp)) = retry_out[k].clone() {
-                            out[i] = Some(rec);
-                            if TRACED {
-                                traces[i] = tr;
-                            }
-                            if deep {
-                                deeps[i] = dp;
-                            }
-                        }
-                    }
-                },
-            }
-        }
-        if let Some(t0) = t0 {
-            // Pass 3 is dominated by the analytic riders: monitor time on
-            // the ride side of the split.
-            let dt = t0.elapsed().as_nanos() as u64;
-            monitor_ns += dt;
-            ride_ns += dt;
-        }
-
-        faults.sort_by_key(|f| f.index);
         let mut records = Vec::with_capacity(specs.len());
-        let mut kept_traces = Vec::with_capacity(traces.len());
-        let mut kept_deeps = Vec::with_capacity(deeps.len());
-        for (i, rec) in out.into_iter().enumerate() {
-            if let Some(rec) = rec {
-                records.push(rec);
-                if TRACED {
-                    kept_traces.push(traces[i]);
+        let mut traces = Vec::with_capacity(if TRACED { specs.len() } else { 0 });
+        let mut deeps = Vec::with_capacity(if deep { specs.len() } else { 0 });
+        let mut sub_records = sub.records.into_iter();
+        let mut sub_traces = sub.traces.into_iter();
+        let mut sub_deeps = sub.deeps.into_iter();
+        let mut quarantined = faults.iter().map(|f| f.index).peekable();
+        let t0 = TRACED.then(Instant::now);
+        for (i, p) in plan.iter().enumerate() {
+            match p {
+                Some((span, heal)) => {
+                    dispo.proved_dead += 1;
+                    let mut trace = Default::default();
+                    let mut timeline = Default::default();
+                    let obs = TrialObservers {
+                        trace: TRACED.then_some(&mut trace),
+                        deep: deep.then_some(&mut timeline),
+                    };
+                    records.push(self.ride_lane(span, *heal, specs[i], monitor, obs));
+                    if TRACED {
+                        traces.push(trace);
+                    }
+                    if deep {
+                        deeps.push(timeline);
+                    }
                 }
-                if deep {
-                    kept_deeps.push(std::mem::take(&mut deeps[i]));
+                None => {
+                    dispo.simulated += 1;
+                    if quarantined.next_if_eq(&i).is_some() {
+                        continue;
+                    }
+                    records.push(sub_records.next().expect("a record per simulated site"));
+                    if TRACED {
+                        traces.push(sub_traces.next().expect("a trace per record"));
+                    }
+                    if deep {
+                        deeps.push(sub_deeps.next().expect("a timeline per record"));
+                    }
                 }
             }
         }
+        // The assembly is dominated by the analytic riders: monitor time
+        // on the ride side of the split.
+        let ride_ns = t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
         let batch = TracedBatch {
             records,
-            traces: kept_traces,
+            traces,
             faults,
-            deeps: kept_deeps,
-            advance_ns,
-            monitor_ns,
-            ride_ns,
-            classify_ns,
+            deeps,
+            advance_ns: sub.advance_ns,
+            monitor_ns: sub.monitor_ns + ride_ns,
+            ride_ns: sub.ride_ns + ride_ns,
+            classify_ns: sub.classify_ns,
             prune_ns,
-            footprint_ns,
+            footprint_ns: footprint_ns + sub.footprint_ns,
         };
         (batch, dispo)
     }
@@ -583,32 +357,6 @@ mod tests {
         a.mov(Reg::R9, Reg::A0);
         a.callsys();
         let p = tfsim_isa::Program::new("pruner-bed", a).with_data(0x10_0000, vec![0u8; 256]);
-        let warmed = warm_pipeline(&p, config, 500);
-        StartPoint::prepare(&warmed, 3_000, MASK)
-    }
-
-    /// A bed with a long serial multiply chain per iteration (~90+ cycles
-    /// at 4-cycle mulq latency), so per-word access gaps comfortably clear
-    /// the 64-cycle dense-check cadence and equivalence classes can form.
-    fn gapped_start_point(config: PipelineConfig) -> StartPoint {
-        let mut a = Asm::new(0x1_0000);
-        a.li(Reg::R10, 0x9e3779b97f4a7c15u64);
-        a.li(Reg::R1, 0x10_0000);
-        a.li(Reg::R7, 40_000);
-        a.li(Reg::R9, 0);
-        let top = a.here_label();
-        a.stq(Reg::R10, Reg::R1, 0);
-        for _ in 0..18 {
-            a.mulq_i(Reg::R10, 33, Reg::R10);
-        }
-        a.ldq(Reg::R6, Reg::R1, 0);
-        a.addq(Reg::R9, Reg::R6, Reg::R9);
-        a.subq_i(Reg::R7, 1, Reg::R7);
-        a.bne(Reg::R7, top);
-        a.li(Reg::V0, tfsim_isa::syscall::EXIT);
-        a.mov(Reg::R9, Reg::A0);
-        a.callsys();
-        let p = tfsim_isa::Program::new("pruner-gap-bed", a).with_data(0x10_0000, vec![0u8; 64]);
         let warmed = warm_pipeline(&p, config, 500);
         StartPoint::prepare(&warmed, 3_000, MASK)
     }
@@ -661,7 +409,7 @@ mod tests {
         let (full, full_dispo) = sp.run_trials_pruned(MASK, &specs, 1_000);
         for width in [1usize, 2, 7, 63, 64] {
             let (batch, dispo) =
-                sp.run_trials_pruned_core::<false>(MASK, &specs, 1_000, width, None, false);
+                sp.run_trials_pruned_core::<false>(MASK, &specs, None, 1_000, width, None, false);
             assert_eq!(batch.records, full, "lane width {width} changed results");
             assert_eq!(dispo, full_dispo, "lane width {width} changed dispositions");
         }
@@ -680,62 +428,6 @@ mod tests {
         let (pruned, dispo) = sp.run_trials_pruned(MASK, &specs, 1_000);
         assert_eq!(pruned, ladder);
         assert_eq!(dispo.total(), specs.len() as u64);
-    }
-
-    /// Scans the extended footprint for words whose first read sits more
-    /// than 70 cycles past the previous access, then aims multiple trials
-    /// into each gap: the pruner must collapse them into classes while the
-    /// records stay identical to the scalar ladder's.
-    #[test]
-    fn pruned_collapses_classes_and_matches_the_ladder() {
-        let sp = gapped_start_point(PipelineConfig::baseline());
-        let fp = sp.extended_footprint();
-        let resolver = Resolver::build(sp.checkpoint(), MASK);
-
-        let mut specs: Vec<TrialSpec> = Vec::new();
-        for span in resolver.spans() {
-            let Some(unit) = span.unit else { continue };
-            if !Tier::Extended.tracked(sp.checkpoint(), unit, span.unit_ord) {
-                continue;
-            }
-            let tl = fp.timeline(unit, span.unit_ord);
-            let mut prev = 0u32;
-            for &(c, is_write) in tl {
-                // A read at `c` with no access since `prev`, and a gap wide
-                // enough that injections at `prev` and `prev + 1` both sit
-                // 64+ cycles clear of the read.
-                if !is_write && c > prev + 70 {
-                    specs.push(TrialSpec { target: span.start, inject_cycle: prev as u64 });
-                    specs.push(TrialSpec { target: span.start, inject_cycle: prev as u64 + 1 });
-                    break;
-                }
-                prev = c;
-            }
-            if specs.len() >= 16 {
-                break;
-            }
-        }
-        assert!(
-            specs.len() >= 4,
-            "the gapped bed should expose read-after-gap words, found {}",
-            specs.len() / 2
-        );
-
-        let ladder = sp.run_trials_traced(MASK, &specs, 1_200);
-        let (pruned, dispo) = sp.run_trials_pruned_traced(MASK, &specs, 1_200);
-        assert_eq!(pruned.records, ladder.records);
-        assert_eq!(pruned.traces, ladder.traces, "derived traces must match the scalar walk");
-        assert_eq!(dispo.total(), specs.len() as u64);
-        assert!(dispo.class_collapsed > 0, "gap-aimed pairs should form classes: {dispo:?}");
-
-        // Deep mode on the same bed: derived timelines must equal the
-        // scalar walk's sample-for-sample, through the class collapse.
-        let deep_ladder = sp.run_trials_deep_traced(MASK, &specs, 1_200);
-        let (deep_pruned, deep_dispo) = sp.run_trials_pruned_deep_traced(MASK, &specs, 1_200);
-        assert_eq!(deep_pruned.records, ladder.records);
-        assert_eq!(deep_pruned.traces, ladder.traces);
-        assert_eq!(deep_pruned.deeps, deep_ladder.deeps, "derived timelines must match");
-        assert_eq!(deep_dispo, dispo, "deep mode must not change dispositions");
     }
 
     #[test]
@@ -770,7 +462,7 @@ mod tests {
             .collect();
         let shim = 13usize;
         let (batch, dispo) =
-            sp.run_trials_pruned_core::<false>(MASK, &specs, 1_000, 64, Some(shim), false);
+            sp.run_trials_pruned_core::<false>(MASK, &specs, None, 1_000, 64, Some(shim), false);
         assert_eq!(batch.faults.len(), 1);
         assert_eq!(batch.faults[0].index, shim);
         assert_eq!(batch.faults[0].spec, specs[shim]);

@@ -69,7 +69,7 @@ use tfsim_obs::json::{self, obj, Json};
 use tfsim_obs::{Event, EventSink};
 use tfsim_workloads::Workload;
 
-use crate::campaign::{campaign_timeline, execute_task, task_order, CampaignConfig};
+use crate::campaign::{campaign_timeline, execute_task, task_order, CampaignConfig, Engine};
 use crate::golden::GoldenTimeline;
 use crate::journal::{task_from_json, task_to_json, CampaignJournal, JournalMeta};
 use crate::lease::{CompleteOutcome, LeaseStats, LeaseTable, TaskId};
@@ -320,8 +320,9 @@ impl Coord<'_> {
 /// a sink separate from any campaign trace, so campaign traces stay
 /// byte-identical to single-process runs.
 ///
-/// Leases go out in the in-process pool's benchmark-major order, so a
-/// worker's one-entry timeline cache serves a run of start points of one
+/// Leases go out in the in-process pool's benchmark-major order, keeping
+/// each worker on one benchmark where possible ([`LeaseTable::grant`]), so
+/// a worker's one-entry timeline cache serves a run of start points of one
 /// benchmark before moving on.
 pub fn serve_campaign(
     listener: TcpListener,
@@ -580,11 +581,10 @@ fn handle_conn(
 pub struct WorkerConfig {
     /// Coordinator address, e.g. `127.0.0.1:7400`.
     pub addr: String,
-    /// Run this worker's trials on the sliced engine (execution strategy;
-    /// results are byte-identical either way).
-    pub sliced: bool,
-    /// Run this worker's trials through the analytic pruner.
-    pub pruned: bool,
+    /// The engine this worker runs its trials on (an execution strategy:
+    /// results are byte-identical on every engine, so it need not match
+    /// the coordinator's or other workers').
+    pub engine: Engine,
     /// Journal shard this worker appends completed tasks to, if any.
     pub shard: Option<PathBuf>,
     /// Deterministic failure schedule ([`Chaos::off`] in production).
@@ -602,8 +602,7 @@ impl WorkerConfig {
     pub fn new(addr: impl Into<String>) -> WorkerConfig {
         WorkerConfig {
             addr: addr.into(),
-            sliced: false,
-            pruned: false,
+            engine: Engine::default(),
             shard: None,
             chaos: Chaos::off(),
             backoff_base_ms: 50,
@@ -755,8 +754,7 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
     if state.campaign.is_none() {
         let meta = JournalMeta::parse(&meta_line).map_err(invalid)?;
         let (mut config, workloads) = meta.to_campaign().map_err(invalid)?;
-        config.sliced = wc.sliced;
-        config.pruned = wc.pruned;
+        config.engine = wc.engine;
         if let Some(path) = &wc.shard {
             state.shard = Some(CampaignJournal::create(path, &meta)?);
         }
@@ -834,7 +832,7 @@ fn serve_session(wc: &WorkerConfig, state: &mut WorkerState) -> io::Result<()> {
                 }
                 if state.golden.as_ref().is_none_or(|(b, _)| *b != bench) {
                     drop(state.golden.take()); // free the old timeline first
-                    let golden = campaign_timeline(config, &workloads[bench]);
+                    let golden = campaign_timeline(config, bench, &workloads[bench]);
                     state.golden = Some((bench, Arc::new(golden)));
                 }
                 let (_, golden) = state.golden.as_ref().expect("cached above");

@@ -8,13 +8,14 @@
 //! its per-cycle retirement pattern — is the golden run's, already
 //! precomputed in the start point's golden timeline.
 //!
-//! This module exploits that with a *golden access footprint*: one extra
-//! tracked replay of the fault-free run (per start point, built lazily and
-//! shared by every batch) records, for every word of the RAM-like tracked
-//! structures (load/store queues, physical register file, miss handling
-//! registers), the cycles at which the machine read or wrote that word.
-//! A batch of trials is then processed as words of up to 64 *lanes*, one
-//! trial per lane, all sharing the single golden evaluation:
+//! This module exploits that with *golden access answers*
+//! (`crate::footprint`): for every trial, the first golden access to its
+//! flipped word after the injection cycle. A campaign's golden pass
+//! answers its plans; a standalone batch answers its own with one tracked
+//! replay of the window. Only words of the RAM-like core-tier structures
+//! (load/store queues, physical register file, miss handling registers)
+//! ride. A batch of trials is then processed as words of up to 64 *lanes*,
+//! one trial per lane, all sharing the single golden evaluation:
 //!
 //! * **Ride** — the faulted word is never accessed in the monitoring
 //!   window. The lane never needs a machine: its outcome follows
@@ -63,7 +64,7 @@ use tfsim_bitstate::{InjectionMask, UnitId};
 
 use tfsim_obs::DeepTrace;
 
-use crate::footprint::{disposition, Disposition, Footprint, Resolver, Span};
+use crate::footprint::{Access, Answer, Span};
 use crate::trial::{
     install_containment_hook, panic_message, FailureMode, Outcome, StartPoint, TracedBatch,
     TrialFault, TrialObservers, TrialRecord, TrialSpec, TrialTrace, CONTAINED,
@@ -73,9 +74,9 @@ use crate::trial::{
 pub const LANE_WIDTH: usize = 64;
 
 /// How a lane was dispatched, for the per-word bookkeeping masks.
-enum Plan<'a> {
+enum Plan {
     /// Ride or heal: share the golden evaluation analytically.
-    Share(&'a Span, Option<u64>),
+    Share(Span, Option<u64>),
     /// Peel (or untracked / out-of-range / forced-panic): scalar path.
     Scalar,
 }
@@ -90,7 +91,8 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> Vec<TrialRecord> {
-        self.run_trials_sliced_core::<false>(mask, specs, monitor, LANE_WIDTH, None, false).records
+        self.run_trials_sliced_core::<false>(mask, specs, None, monitor, LANE_WIDTH, None, false)
+            .records
     }
 
     /// [`StartPoint::run_trials_traced`] semantics on the word-parallel
@@ -103,7 +105,7 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> TracedBatch {
-        self.run_trials_sliced_core::<true>(mask, specs, monitor, LANE_WIDTH, None, false)
+        self.run_trials_sliced_core::<true>(mask, specs, None, monitor, LANE_WIDTH, None, false)
     }
 
     /// [`StartPoint::run_trials_deep_traced`] semantics on the
@@ -117,12 +119,12 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> TracedBatch {
-        self.run_trials_sliced_core::<true>(mask, specs, monitor, LANE_WIDTH, None, true)
+        self.run_trials_sliced_core::<true>(mask, specs, None, monitor, LANE_WIDTH, None, true)
     }
 
     /// [`StartPoint::run_trials_sliced`] with an explicit lane width in
     /// `1..=64`. Results are provably width-independent (each lane is
-    /// decided from the shared footprint alone); the equivalence suite
+    /// decided from its access answer alone); the equivalence suite
     /// exercises every width including partial final words.
     pub fn run_trials_sliced_with_width(
         &self,
@@ -131,16 +133,21 @@ impl StartPoint {
         monitor: u64,
         lane_width: usize,
     ) -> Vec<TrialRecord> {
-        self.run_trials_sliced_core::<false>(mask, specs, monitor, lane_width, None, false).records
+        self.run_trials_sliced_core::<false>(mask, specs, None, monitor, lane_width, None, false)
+            .records
     }
 
     /// The shared word-parallel ladder. Mirrors `run_trials_core`'s
     /// contract exactly: input-order records, quarantined panics, sorted
-    /// monotonic walker for everything scalar.
+    /// monotonic walker for everything scalar. `answers` are the specs'
+    /// access answers (aligned with them) when the campaign's golden pass
+    /// already has them; `None` answers them here with one tracked replay.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_trials_sliced_core<const TRACED: bool>(
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
+        answers: Option<&[Option<Answer>]>,
         monitor: u64,
         lane_width: usize,
         panic_shim: Option<usize>,
@@ -150,9 +157,35 @@ impl StartPoint {
         assert!((1..=LANE_WIDTH).contains(&lane_width), "lane width must be 1..=64");
         install_containment_hook();
         let fp_t0 = TRACED.then(Instant::now);
-        let fp = self.golden_footprint();
+        let replayed;
+        let answers = match answers {
+            Some(a) => a,
+            None => {
+                replayed = self.answer(mask, specs);
+                &replayed
+            }
+        };
+        debug_assert_eq!(answers.len(), specs.len(), "one answer per spec");
         let footprint_ns = fp_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
-        let resolver = Resolver::build(self.checkpoint(), mask);
+        // Rides only core-tier words; no answer (out of range, outside the
+        // extended tier, injected past the window) always peels.
+        let plan = |i: usize| {
+            if panic_shim == Some(i) {
+                return Plan::Scalar;
+            }
+            match answers[i] {
+                Some(Answer { span, access })
+                    if span.unit.is_some_and(|u| self.checkpoint().access_tracked(u, span.unit_ord)) =>
+                {
+                    match access {
+                        Access::Never => Plan::Share(span, None),
+                        Access::Write(hc) => Plan::Share(span, Some(hc)),
+                        Access::Read(_) => Plan::Scalar,
+                    }
+                }
+                _ => Plan::Scalar,
+            }
+        };
 
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
@@ -177,32 +210,8 @@ impl StartPoint {
             for (lane, &i) in word.iter().enumerate() {
                 let spec = specs[i];
                 let lane_bit = 1u64 << lane;
-                let plan = if panic_shim == Some(i)
-                    || spec.inject_cycle > self.horizon()
-                {
-                    Plan::Scalar
-                } else {
-                    match resolver.resolve(spec.target) {
-                        Some(span)
-                            if span.unit.is_some_and(|u| {
-                                self.checkpoint().access_tracked(u, span.unit_ord)
-                            }) =>
-                        {
-                            let unit = span.unit.expect("tracked implies unit");
-                            match disposition(
-                                fp.timeline(unit, span.unit_ord),
-                                spec.inject_cycle,
-                            ) {
-                                Disposition::Ride => Plan::Share(span, None),
-                                Disposition::Heal(hc) => Plan::Share(span, Some(hc)),
-                                Disposition::Peel => Plan::Scalar,
-                            }
-                        }
-                        _ => Plan::Scalar,
-                    }
-                };
                 let t0 = TRACED.then(Instant::now);
-                match plan {
+                match plan(i) {
                     Plan::Share(span, heal) => {
                         match heal {
                             Some(_) => healed |= lane_bit,
@@ -211,7 +220,7 @@ impl StartPoint {
                         let trace_slot = if TRACED { Some(&mut traces[i]) } else { None };
                         let deep_slot = if deep { Some(&mut deeps[i]) } else { None };
                         let obs = TrialObservers { trace: trace_slot, deep: deep_slot };
-                        out[i] = Some(self.ride_lane(fp, span, heal, spec, monitor, obs));
+                        out[i] = Some(self.ride_lane(&span, heal, spec, monitor, obs));
                         if let Some(t0) = t0 {
                             let dt = t0.elapsed().as_nanos() as u64;
                             monitor_ns += dt;
@@ -309,7 +318,6 @@ impl StartPoint {
     /// δ sits in a word nothing reads before it is (possibly) overwritten.
     pub(crate) fn ride_lane(
         &self,
-        fp: &Footprint,
         span: &Span,
         heal_cycle: Option<u64>,
         spec: TrialSpec,
@@ -354,7 +362,7 @@ impl StartPoint {
 
             for step in (inject_cycle + 1)..=horizon {
                 last_step = step;
-                let g = fp.percycle[step as usize];
+                let g = self.agg(step);
                 if g.retired > 0 {
                     last_retire_cycle = step;
                     flushes_without_retire = 0;

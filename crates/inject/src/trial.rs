@@ -17,7 +17,7 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Once, OnceLock};
+use std::sync::{Arc, Once};
 use std::time::Instant;
 
 use tfsim_bitstate::{
@@ -211,13 +211,14 @@ pub struct TracedBatch {
     pub ride_ns: u64,
     /// Portion of `monitor_ns` spent in scalar classification.
     pub classify_ns: u64,
-    /// Wall-clock time spent in the pruner's analysis passes (disposition
-    /// proofs and class formation). Zero outside the pruned path; *not*
-    /// part of `monitor_ns` — the analysis runs before any trial.
+    /// Wall-clock time spent in the pruner's disposition proofs. Zero
+    /// outside the pruned path; *not* part of `monitor_ns` — the analysis
+    /// runs before any trial.
     pub prune_ns: u64,
-    /// Wall-clock time spent building the start point's lazy golden
-    /// access footprints (sliced and pruned paths, first batch only).
-    /// Part of neither `monitor_ns` nor `prune_ns`.
+    /// Wall-clock time spent answering the batch's access questions with a
+    /// tracked replay of the window (standalone sliced and pruned batches;
+    /// zero in campaigns, whose golden pass answers them). Part of neither
+    /// `monitor_ns` nor `prune_ns`.
     pub footprint_ns: u64,
 }
 
@@ -273,14 +274,6 @@ pub struct StartPoint {
     pub(crate) halted_at: Option<(u64, u64)>, // (step, exit code)
     /// Golden in-flight valid-instruction count per cycle.
     pub(crate) valid_counts: Vec<u32>,
-    /// Lazily built golden access footprint for the word-parallel path
-    /// (see `crate::sliced`): per-cell read/write timelines plus per-cycle
-    /// retire aggregates from one tracked replay of the golden run.
-    pub(crate) footprint: OnceLock<crate::footprint::Footprint>,
-    /// Extended-tier footprint for the analytic pruner (see
-    /// `crate::pruner`), from a second tracked replay covering every
-    /// loggable structure.
-    pub(crate) footprint_ext: OnceLock<crate::footprint::Footprint>,
 }
 
 impl StartPoint {
@@ -292,7 +285,7 @@ impl StartPoint {
     ///
     /// Panics if the fault-free continuation raises an exception.
     pub fn prepare(warmed: &Pipeline, horizon: u64, mask: InjectionMask) -> StartPoint {
-        Arc::new(GoldenTimeline::build(warmed.clone(), &[0], horizon, mask)).start_point(0)
+        Arc::new(GoldenTimeline::build(warmed.clone(), &[0], horizon, mask, None)).start_point(0)
     }
 
     /// The golden valid-instruction count at a relative cycle.

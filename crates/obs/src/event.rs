@@ -40,24 +40,20 @@ pub struct PruneDispositions {
     /// (dead-window proofs: the faulted word is overwritten before its
     /// next read, or never read again inside the detection window).
     pub proved_dead: u64,
-    /// Sites whose outcome was multiplied out from an equivalence-class
-    /// representative's simulated trial.
-    pub class_collapsed: u64,
-    /// Sites actually simulated: class representatives plus everything the
-    /// pruner could not discharge analytically.
+    /// Sites actually simulated: everything the pruner could not discharge
+    /// analytically.
     pub simulated: u64,
 }
 
 impl PruneDispositions {
     /// Total sites the pruner dispatched.
     pub fn total(&self) -> u64 {
-        self.proved_dead + self.class_collapsed + self.simulated
+        self.proved_dead + self.simulated
     }
 
     /// Accumulates another disposition tally.
     pub fn merge(&mut self, other: &PruneDispositions) {
         self.proved_dead += other.proved_dead;
-        self.class_collapsed += other.class_collapsed;
         self.simulated += other.simulated;
     }
 }
@@ -394,7 +390,6 @@ impl Event {
                 ];
                 if let Some(p) = prune {
                     fields.push(("proved_dead", int(p.proved_dead)));
-                    fields.push(("class_collapsed", int(p.class_collapsed)));
                     fields.push(("simulated", int(p.simulated)));
                 }
                 obj(fields)
@@ -540,8 +535,11 @@ impl Event {
                 quarantined: opt_field("quarantined")?.unwrap_or(0),
                 eligible_bits: field("eligible_bits")?,
                 wall_ns: field("wall_ns")?,
-                // All three keys absent on unpruned campaigns and in
-                // pre-pruner traces; any present key implies a pruned run.
+                // All keys absent on unpruned campaigns and in pre-pruner
+                // traces; any present key implies a pruned run. Traces
+                // written while the pruner still had equivalence classes
+                // may carry `class_collapsed`: those sites were not proved
+                // dead, so they read as simulated.
                 prune: match (
                     opt_field("proved_dead")?,
                     opt_field("class_collapsed")?,
@@ -550,8 +548,7 @@ impl Event {
                     (None, None, None) => None,
                     (pd, cc, sim) => Some(PruneDispositions {
                         proved_dead: pd.unwrap_or(0),
-                        class_collapsed: cc.unwrap_or(0),
-                        simulated: sim.unwrap_or(0),
+                        simulated: sim.unwrap_or(0) + cc.unwrap_or(0),
                     }),
                 },
             }),
@@ -708,11 +705,7 @@ mod tests {
                 quarantined: 0,
                 eligible_bits: 4096,
                 wall_ns: 2_000_000,
-                prune: Some(PruneDispositions {
-                    proved_dead: 70,
-                    class_collapsed: 20,
-                    simulated: 10,
-                }),
+                prune: Some(PruneDispositions { proved_dead: 70, simulated: 30 }),
             },
             Event::Propagation {
                 benchmark: 0,
@@ -868,7 +861,7 @@ mod tests {
 
     #[test]
     fn pruned_footer_round_trips_dispositions() {
-        let prune = PruneDispositions { proved_dead: 3, class_collapsed: 2, simulated: 1 };
+        let prune = PruneDispositions { proved_dead: 3, simulated: 3 };
         assert_eq!(prune.total(), 6);
         let footer = Event::CampaignEnd {
             trials: 6,
@@ -882,7 +875,16 @@ mod tests {
         };
         let line = footer.to_json();
         assert!(line.contains("\"proved_dead\":3"), "{line}");
+        assert!(!line.contains("class_collapsed"), "{line}");
         match Event::from_json(&line).unwrap() {
+            Event::CampaignEnd { prune: Some(p), .. } => assert_eq!(p, prune),
+            other => panic!("expected pruned campaign_end, got {other:?}"),
+        }
+        // A footer written while the pruner had equivalence classes reads
+        // its class-collapsed sites as simulated.
+        let legacy = line.replace("\"simulated\":3", "\"class_collapsed\":2,\"simulated\":1");
+        assert_ne!(legacy, line);
+        match Event::from_json(&legacy).unwrap() {
             Event::CampaignEnd { prune: Some(p), .. } => assert_eq!(p, prune),
             other => panic!("expected pruned campaign_end, got {other:?}"),
         }

@@ -475,16 +475,12 @@ impl TelemetryReport {
         if let Some(p) = &self.prune {
             // Pruner accounting: how the planned census volume was
             // discharged. Only simulated sites ran the pipeline; the rest
-            // were proved masked from the golden access footprint or
-            // multiplied out from an equivalence-class representative.
+            // were proved masked from their golden access answers.
             let total = p.total();
             out.push_str(&format!(
-                "\npruner dispositions: {} proved dead ({}), {} class-collapsed ({}), \
-                 {} simulated ({}) of {} sites\n",
+                "\npruner dispositions: {} proved dead ({}), {} simulated ({}) of {} sites\n",
                 p.proved_dead,
                 pct(p.proved_dead, total),
-                p.class_collapsed,
-                pct(p.class_collapsed, total),
                 p.simulated,
                 pct(p.simulated, total),
                 total,
@@ -856,7 +852,7 @@ mod tests {
         let mut events = sample_stream();
         if let Some(Event::CampaignEnd { prune, .. }) = events.last_mut() {
             *prune =
-                Some(PruneDispositions { proved_dead: 90, class_collapsed: 6, simulated: 4 });
+                Some(PruneDispositions { proved_dead: 90, simulated: 10 });
         }
         let report = TelemetryReport::from_events(&events).unwrap();
         let rendered = report.render(10);

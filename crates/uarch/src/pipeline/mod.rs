@@ -512,6 +512,28 @@ impl Pipeline {
         self.fus.log.set_enabled(on);
     }
 
+    /// Whether any access log, of either tier, is on. Checkpoints cloned
+    /// out of a tracked golden pass must report `false`, or every trial
+    /// machine cloned from them would log.
+    pub fn access_tracking(&self) -> bool {
+        [
+            &self.lsq.log,
+            &self.regfile.log,
+            &self.mhrs.log,
+            &self.fq.log,
+            &self.flatch_log,
+            &self.spec_rat.log,
+            &self.arch_rat.log,
+            &self.spec_fl.log,
+            &self.arch_fl.log,
+            &self.sched.log,
+            &self.rob.log,
+            &self.fus.log,
+        ]
+        .iter()
+        .any(|log| log.enabled())
+    }
+
     /// Drains every logged access since the previous drain, in program
     /// order per structure (LSQ first, then register file, then MHRs),
     /// mapping each structure-local fixed ordinal to the *visit-order*

@@ -83,7 +83,8 @@ fn outcome_counts_identical_across_1_2_and_n_threads() {
 #[test]
 fn sliced_campaign_is_byte_identical_to_the_ladder() {
     use tfsim::inject::{
-        run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, JournalMeta,
+        run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, Engine,
+        JournalMeta,
     };
     use tfsim::obs::{strip_wall_clock, RingSink};
 
@@ -95,16 +96,16 @@ fn sliced_campaign_is_byte_identical_to_the_ladder() {
     // Traced run: the full per-trial event stream (modulo wall clock) must
     // agree, which pins every record, trace, and quarantine field — not
     // just the aggregated census.
-    let run_traced = |sliced: bool| {
+    let run_traced = |engine: Engine| {
         let mut cfg = config(2);
-        cfg.sliced = sliced;
+        cfg.engine = engine;
         let sink = RingSink::new(1 << 16);
         let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
         let r = run_campaign_observed(&cfg, &workloads, &obs);
         (outcome_census(&r), strip_wall_clock(&sink.events()))
     };
-    let (ladder_census, ladder_events) = run_traced(false);
-    let (sliced_census, sliced_events) = run_traced(true);
+    let (ladder_census, ladder_events) = run_traced(Engine::Ladder);
+    let (sliced_census, sliced_events) = run_traced(Engine::Sliced);
     assert_eq!(ladder_census, sliced_census, "sliced campaign census diverged from the ladder");
     assert_eq!(
         ladder_events, sliced_events,
@@ -112,13 +113,13 @@ fn sliced_campaign_is_byte_identical_to_the_ladder() {
     );
 
     // Journal files written by the two engines must be byte-identical:
-    // `sliced` is an execution strategy, not part of the experiment
+    // the engine is an execution strategy, not part of the experiment
     // identity, so a journal written by one engine resumes under the other.
-    let journal_bytes = |sliced: bool| {
+    let journal_bytes = |engine: Engine| {
         let mut cfg = config(1);
-        cfg.sliced = sliced;
+        cfg.engine = engine;
         let path = std::env::temp_dir()
-            .join(format!("tfsim-sliced-journal-{}-{sliced}.jsonl", std::process::id()));
+            .join(format!("tfsim-sliced-journal-{}-{engine:?}.jsonl", std::process::id()));
         let meta = JournalMeta::new(&cfg, &workloads);
         let j = CampaignJournal::create(&path, &meta).unwrap();
         run_campaign_journaled(&cfg, &workloads, &CampaignObs::disabled(), Some(&j));
@@ -128,22 +129,22 @@ fn sliced_campaign_is_byte_identical_to_the_ladder() {
         bytes
     };
     assert_eq!(
-        journal_bytes(false),
-        journal_bytes(true),
+        journal_bytes(Engine::Ladder),
+        journal_bytes(Engine::Sliced),
         "sliced campaign journal diverged from the ladder"
     );
 
     // The containment/quarantine machinery must behave identically when a
     // peeled scalar trial panics mid-run.
     let shim = (1usize, 1u32, 5u32);
-    let run_shimmed = |sliced: bool| {
+    let run_shimmed = |engine: Engine| {
         let mut cfg = config(2);
-        cfg.sliced = sliced;
+        cfg.engine = engine;
         cfg.panic_shim = Some(shim);
         run_campaign_on(&cfg, &workloads)
     };
-    let ladder = run_shimmed(false);
-    let sliced = run_shimmed(true);
+    let ladder = run_shimmed(Engine::Ladder);
+    let sliced = run_shimmed(Engine::Sliced);
     assert_eq!(outcome_census(&ladder), outcome_census(&sliced));
     assert_eq!(ladder.quarantined, sliced.quarantined);
     assert_eq!(sliced.quarantined.len(), 1);
@@ -152,7 +153,8 @@ fn sliced_campaign_is_byte_identical_to_the_ladder() {
 #[test]
 fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
     use tfsim::inject::{
-        run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, JournalMeta,
+        run_campaign_journaled, run_campaign_observed, CampaignJournal, CampaignObs, Engine,
+        JournalMeta,
     };
     use tfsim::obs::{strip_wall_clock, Event, RingSink};
 
@@ -164,18 +166,17 @@ fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
     // The full per-trial event stream must agree with both unpruned
     // engines everywhere except the footer, which additionally carries the
     // pruner's disposition tally.
-    let run_traced = |pruned: bool, sliced: bool| {
+    let run_traced = |engine: Engine| {
         let mut cfg = config(2);
-        cfg.pruned = pruned;
-        cfg.sliced = sliced;
+        cfg.engine = engine;
         let sink = RingSink::new(1 << 16);
         let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
         let r = run_campaign_observed(&cfg, &workloads, &obs);
         (outcome_census(&r), strip_wall_clock(&sink.events()), r.prune)
     };
-    let (ladder_census, ladder_events, ladder_prune) = run_traced(false, false);
-    let (sliced_census, sliced_events, sliced_prune) = run_traced(false, true);
-    let (pruned_census, pruned_events, pruned_prune) = run_traced(true, false);
+    let (ladder_census, ladder_events, ladder_prune) = run_traced(Engine::Ladder);
+    let (sliced_census, sliced_events, sliced_prune) = run_traced(Engine::Sliced);
+    let (pruned_census, pruned_events, pruned_prune) = run_traced(Engine::Pruned);
 
     assert_eq!(ladder_census, sliced_census);
     assert_eq!(ladder_census, pruned_census, "pruned campaign census diverged");
@@ -219,14 +220,14 @@ fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
         other => panic!("footers have the wrong shape: {other:?}"),
     }
 
-    // Journal files: `pruned` is an execution strategy, not experiment
+    // Journal files: the engine is an execution strategy, not experiment
     // identity — a journal written by the pruner resumes under any engine,
     // byte for byte.
-    let journal_bytes = |pruned: bool| {
+    let journal_bytes = |engine: Engine| {
         let mut cfg = config(1);
-        cfg.pruned = pruned;
+        cfg.engine = engine;
         let path = std::env::temp_dir()
-            .join(format!("tfsim-pruned-journal-{}-{pruned}.jsonl", std::process::id()));
+            .join(format!("tfsim-pruned-journal-{}-{engine:?}.jsonl", std::process::id()));
         let meta = JournalMeta::new(&cfg, &workloads);
         let j = CampaignJournal::create(&path, &meta).unwrap();
         run_campaign_journaled(&cfg, &workloads, &CampaignObs::disabled(), Some(&j));
@@ -236,22 +237,22 @@ fn pruned_campaign_is_byte_identical_to_the_unpruned_engines() {
         bytes
     };
     assert_eq!(
-        journal_bytes(false),
-        journal_bytes(true),
+        journal_bytes(Engine::Ladder),
+        journal_bytes(Engine::Pruned),
         "pruned campaign journal diverged from the ladder"
     );
 
     // A forced mid-trial panic flows through the pruner's delegate
     // remapping into the same quarantine record.
     let shim = (1usize, 1u32, 5u32);
-    let run_shimmed = |pruned: bool| {
+    let run_shimmed = |engine: Engine| {
         let mut cfg = config(2);
-        cfg.pruned = pruned;
+        cfg.engine = engine;
         cfg.panic_shim = Some(shim);
         run_campaign_on(&cfg, &workloads)
     };
-    let ladder_q = run_shimmed(false);
-    let pruned_q = run_shimmed(true);
+    let ladder_q = run_shimmed(Engine::Ladder);
+    let pruned_q = run_shimmed(Engine::Pruned);
     assert_eq!(outcome_census(&ladder_q), outcome_census(&pruned_q));
     assert_eq!(ladder_q.quarantined, pruned_q.quarantined);
     assert_eq!(pruned_q.quarantined.len(), 1);

@@ -12,7 +12,7 @@ use tfsim::inject::{
     run_campaign_journaled, run_campaign_on, CampaignConfig, CampaignJournal, CampaignObs,
     CampaignResult, FailureMode, JournalMeta,
 };
-use tfsim::obs::{strip_wall_clock, RingSink};
+use tfsim::obs::{strip_wall_clock, Event, RingSink};
 use tfsim::stats::{census_rows, render_census};
 use tfsim::workloads::{self, Workload};
 
@@ -194,6 +194,9 @@ fn resuming_part_of_a_benchmark_rebuilds_its_timeline_to_the_same_stream() {
     // that benchmark with work on both sides of it: the resumed run must
     // build the benchmark's whole timeline and reproduce the uninterrupted
     // census and event stream (valid-instruction counts included).
+    // The pruner's footer tally counts only live-executed tasks (a
+    // replayed task is not re-pruned), so it is split off the stream and
+    // checked on its own.
     let workloads = two_workloads();
     let mut cfg = config(1);
     cfg.start_points = 3;
@@ -201,7 +204,12 @@ fn resuming_part_of_a_benchmark_rebuilds_its_timeline_to_the_same_stream() {
         let sink = RingSink::new(1 << 16);
         let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
         let result = run_campaign_journaled(&cfg, &workloads, &obs, j);
-        (census_of(&result), format!("{:?}", result.scatter), strip_wall_clock(&sink.events()))
+        let mut events = strip_wall_clock(&sink.events());
+        let tally = match events.last_mut() {
+            Some(Event::CampaignEnd { prune, .. }) => prune.take().map(|p| p.total()),
+            other => panic!("the stream must end with its footer, got {other:?}"),
+        };
+        ((census_of(&result), format!("{:?}", result.scatter), events), tally)
     };
     let path = tmp("partial.jsonl");
     let meta = JournalMeta::new(&cfg, &workloads);
@@ -222,7 +230,11 @@ fn resuming_part_of_a_benchmark_rebuilds_its_timeline_to_the_same_stream() {
     }
     let j = CampaignJournal::resume(&path, &meta).unwrap();
     assert_eq!(j.completed().len(), 1);
-    assert_eq!(observed(Some(&j)), reference);
-    assert_eq!(observed(None), reference, "journaling itself changed the stream");
+    let (stream, tally) = reference;
+    let planned = 2 * 3 * cfg.trials_per_start_point as u64;
+    assert_eq!(tally, Some(planned), "every live site gets one disposition");
+    let replayed = cfg.trials_per_start_point as u64;
+    assert_eq!(observed(Some(&j)), (stream.clone(), Some(planned - replayed)));
+    assert_eq!(observed(None), (stream, tally), "journaling itself changed the stream");
     std::fs::remove_file(&path).unwrap();
 }

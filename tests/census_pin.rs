@@ -16,7 +16,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use tfsim::inject::{run_campaign_observed, CampaignConfig, CampaignObs, CampaignResult};
+use tfsim::inject::{run_campaign_observed, CampaignConfig, CampaignObs, CampaignResult, Engine};
 use tfsim::obs::{strip_wall_clock, Event, RingSink};
 use tfsim::workloads::{self, Workload};
 
@@ -72,10 +72,9 @@ fn render(r: &CampaignResult, events: &[Event]) -> String {
     out
 }
 
-fn run(sliced: bool, pruned: bool) -> String {
+fn run(engine: Engine) -> String {
     let mut config = config();
-    config.sliced = sliced;
-    config.pruned = pruned;
+    config.engine = engine;
     let sink = RingSink::new(1 << 16);
     let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
     let result = run_campaign_observed(&config, &two_workloads(), &obs);
@@ -88,7 +87,7 @@ fn reference_path() -> PathBuf {
 
 #[test]
 fn every_engine_reproduces_the_pinned_census() {
-    let ladder = run(false, false);
+    let ladder = run(Engine::Ladder);
     if std::env::var_os("TFSIM_UPDATE_PIN").is_some() {
         std::fs::write(reference_path(), &ladder).expect("write the pinned census");
     }
@@ -96,7 +95,7 @@ fn every_engine_reproduces_the_pinned_census() {
     // Every trial of 2 benchmarks x 3 start points x 10 trials is pinned.
     assert_eq!(ladder.lines().filter(|l| l.starts_with('{')).count(), 2 * 3 * 10);
     for (engine, got) in
-        [("ladder", ladder.clone()), ("sliced", run(true, false)), ("pruned", run(false, true))]
+        [("ladder", ladder.clone()), ("sliced", run(Engine::Sliced)), ("pruned", run(Engine::Pruned))]
     {
         if got != pinned {
             let first = got

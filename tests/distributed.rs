@@ -13,7 +13,7 @@ use tfsim::check::Chaos;
 use tfsim::inject::{
     merge_shards, run_campaign_journaled, run_campaign_observed, run_campaign_with_tasks,
     run_worker, serve_campaign, CampaignConfig, CampaignJournal, CampaignObs, CampaignResult,
-    FailureMode, JournalMeta, ServeConfig, ServeReport, WorkerConfig, WorkerReport,
+    Engine, FailureMode, JournalMeta, ServeConfig, ServeReport, WorkerConfig, WorkerReport,
 };
 use tfsim::obs::{strip_wall_clock, Event, NoopSink, RingSink};
 use tfsim::stats::{census_rows, render_census};
@@ -53,15 +53,15 @@ fn tmp(name: &str) -> PathBuf {
 struct Spawn {
     chaos: &'static str,
     shard: Option<PathBuf>,
-    sliced: bool,
+    engine: Engine,
 }
 
 impl Spawn {
     fn clean() -> Spawn {
-        Spawn { chaos: "", shard: None, sliced: false }
+        Spawn { chaos: "", shard: None, engine: Engine::default() }
     }
     fn chaotic(spec: &'static str) -> Spawn {
-        Spawn { chaos: spec, shard: None, sliced: false }
+        Spawn { chaos: spec, shard: None, engine: Engine::default() }
     }
 }
 
@@ -86,7 +86,7 @@ fn cluster(
                 let addr = addr.clone();
                 scope.spawn(move || {
                     let mut wc = WorkerConfig::new(addr);
-                    wc.sliced = spawn.sliced;
+                    wc.engine = spawn.engine;
                     wc.shard = spawn.shard;
                     if !spawn.chaos.is_empty() {
                         wc.chaos = Chaos::parse(spawn.chaos).expect("chaos spec");
@@ -127,13 +127,17 @@ fn distributed_census_and_event_stream_match_single_process() {
     let wl = two_workloads();
     let sink = RingSink::new(1 << 16);
     let obs = CampaignObs { sink: &sink, metrics: None, progress: None, spans: None };
-    let reference = run_campaign_observed(&cfg, &wl, &obs);
+    // Replayed tasks carry no pruner tally into the footer, so the stream
+    // the merged tasks must reproduce is the in-process ladder's.
+    let reference_cfg = CampaignConfig { engine: Engine::Ladder, ..cfg.clone() };
+    let reference = run_campaign_observed(&reference_cfg, &wl, &obs);
     let ref_census = census_of(&reference);
     let ref_events = strip_wall_clock(&sink.events());
 
-    // Two clean workers, one on the bit-sliced engine: the engine mix is
-    // an execution strategy, invisible in the merged results.
-    let mixed = Spawn { sliced: true, ..Spawn::clean() };
+    // Two clean workers, one on the default pruned engine and one on the
+    // bit-sliced engine: the engine mix is an execution strategy,
+    // invisible in the merged results.
+    let mixed = Spawn { engine: Engine::Sliced, ..Spawn::clean() };
     let (report, results) =
         cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean(), mixed]);
     for r in results {
@@ -216,8 +220,8 @@ fn torn_and_duplicated_shards_merge_first_wins() {
     // task; the clean worker (journaling to its own shard) finishes the
     // campaign, re-executing the torn worker's reassigned tasks.
     let workers = vec![
-        Spawn { chaos: "seed=7,tear=n2", shard: Some(torn.clone()), sliced: false },
-        Spawn { chaos: "", shard: Some(clean.clone()), sliced: false },
+        Spawn { chaos: "seed=7,tear=n2", shard: Some(torn.clone()), engine: Engine::default() },
+        Spawn { chaos: "", shard: Some(clean.clone()), engine: Engine::default() },
     ];
     let (report, _) = cluster(&cfg, &wl, &short_leases(), None, workers);
     let (census, _) = replay(&cfg, &wl, report);

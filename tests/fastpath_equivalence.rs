@@ -17,6 +17,11 @@
 //!   protection configs, and delegate lane widths in `1..=64` — and a
 //!   site the pruner proves dead must classify identically under a full
 //!   scalar `run_trial` replay.
+//! * On plans aimed only at read-hot words (register file, speculative
+//!   RAT, register pointers, ROB and LSQ pointers), where most sites are
+//!   consumed and cross from the analytic path to the scalar one, the
+//!   pruned and sliced engines must reproduce the ladder's records,
+//!   traces and divergence timelines.
 //!
 //! Together these are the proof obligations that let the campaign use the
 //! fast path without ever changing an outcome census. A failing property
@@ -25,8 +30,8 @@
 use std::sync::OnceLock;
 
 use tfsim::bitstate::{
-    fingerprint_of, BitCount, CachedFingerprint, FlipBit, InjectionMask, SlicedState, Snapshot,
-    VisitState,
+    fingerprint_of, BitCount, CachedFingerprint, Category, FieldMeta, FlipBit, InjectionMask,
+    SlicedState, Snapshot, StateVisitor, UnitId, VisitState,
 };
 use tfsim::check::prop::{self, any_u64, ints, vecs, Config};
 use tfsim::inject::{OutcomeCounts, StartPoint, TrialSpec};
@@ -158,9 +163,9 @@ fn pruned_equals_ladder_equals_naive_at_every_lane_width() {
     // Random plans through the analytic masking pruner against the ladder
     // and the naive path, across random monitoring windows, protection
     // configs, and delegate lane widths. The pruner may discharge a site
-    // analytically, collapse it into a class, or delegate it — whatever it
-    // picks, the records must be bit-identical to the scalar walk, and
-    // every site must land in exactly one disposition bucket.
+    // analytically or delegate it — whatever it picks, the records must be
+    // bit-identical to the scalar walk, and every site must land in exactly
+    // one disposition bucket.
     let mut cfg = Config::from_env();
     cfg.cases = cfg.cases.min(12);
     let gen = (
@@ -254,6 +259,102 @@ fn sliced_lane_flip_round_trips_to_the_scalar_trial() {
         prop_assert_eq!(fingerprint_of(&mut golden), fingerprint_of(&mut cpu.clone()));
         Ok(())
     });
+}
+
+/// Collects the eligible bits of read-hot words in five groups: register
+/// file entries, speculative RAT entries, physical register pointers, ROB
+/// tags and ROB queue pointers, and LSQ queue pointers.
+struct HotBits {
+    pos: u64,
+    unit: Option<UnitId>,
+    groups: [Vec<u64>; 5],
+}
+
+impl StateVisitor for HotBits {
+    fn field(&mut self, meta: FieldMeta, width: u32, _bits: &mut u64) {
+        if !MASK.eligible(meta) {
+            return;
+        }
+        let group = match (meta.category, self.unit) {
+            (Category::Regfile, _) => Some(0),
+            (Category::SpecRat, _) => Some(1),
+            (Category::Regptr, _) => Some(2),
+            (Category::Robptr, _) | (Category::Qctrl, Some(UnitId::Rob)) => Some(3),
+            (Category::Qctrl, Some(UnitId::Lsq)) => Some(4),
+            _ => None,
+        };
+        if let Some(g) = group {
+            self.groups[g].extend(self.pos..self.pos + width as u64);
+        }
+        self.pos += width as u64;
+    }
+
+    fn enter_unit(&mut self, unit: UnitId, _gen: u64) -> bool {
+        self.unit = Some(unit);
+        true
+    }
+
+    fn exit_unit(&mut self, _unit: UnitId) {
+        self.unit = None;
+    }
+}
+
+fn hot_bits(sp: &StartPoint) -> [Vec<u64>; 5] {
+    let mut v = HotBits { pos: 0, unit: None, groups: Default::default() };
+    base_pipeline().clone().visit_state(&mut v);
+    assert_eq!(v.pos, sp.bit_count(), "the walk must cover every eligible bit");
+    assert!(v.groups.iter().all(|g| !g.is_empty()), "every hot group has bits");
+    v.groups
+}
+
+#[test]
+fn fast_engines_equal_the_ladder_on_read_hot_targets() {
+    // Random plans mostly land in words nobody reads again or in untracked
+    // latches, so they rarely cross the boundary between analytic
+    // dispositions and scalar peels. These plans aim only at words the
+    // pipeline reads every few cycles, one group drawn uniformly per site
+    // so the large register file does not crowd out the pointers: a
+    // site's fate turns on whether its next read comes before an
+    // overwrite or a lock, and both engines must still reproduce the
+    // ladder's records, traces and divergence timelines exactly.
+    let mut cfg = Config::from_env();
+    cfg.cases = cfg.cases.min(12);
+    let hot = hot_bits(start_point());
+    let (peeled, proved) = (std::cell::Cell::new(0u64), std::cell::Cell::new(0u64));
+    let gen = (
+        vecs((ints(0usize..5), any_u64(), ints(0u64..64)), 1..10),
+        ints(120u64..500),
+        ints(0u8..2),
+    );
+    prop::run(&cfg, "fast_engines_equal_the_ladder_on_read_hot_targets", &gen, |val| {
+        let (plan, monitor, protected) = val.clone();
+        let sp = if protected == 1 { protected_start_point() } else { start_point() };
+        let specs: Vec<TrialSpec> = plan
+            .iter()
+            .map(|&(g, k, inject_cycle)| TrialSpec {
+                target: hot[g][(k % hot[g].len() as u64) as usize],
+                inject_cycle,
+            })
+            .collect();
+        let ladder = sp.run_trials_deep_traced(MASK, &specs, monitor);
+        let (pruned, dispo) = sp.run_trials_pruned_deep_traced(MASK, &specs, monitor);
+        prop_assert_eq!(&pruned.records, &ladder.records, "pruned records");
+        prop_assert_eq!(&pruned.traces, &ladder.traces, "pruned traces");
+        prop_assert_eq!(&pruned.deeps, &ladder.deeps, "pruned timelines");
+        let sliced = sp.run_trials_sliced_deep_traced(MASK, &specs, monitor);
+        prop_assert_eq!(&sliced.records, &ladder.records, "sliced records");
+        prop_assert_eq!(&sliced.traces, &ladder.traces, "sliced traces");
+        prop_assert_eq!(&sliced.deeps, &ladder.deeps, "sliced timelines");
+        prop_assert_eq!(dispo.total(), specs.len() as u64);
+        peeled.set(peeled.get() + dispo.simulated);
+        proved.set(proved.get() + dispo.proved_dead);
+        Ok(())
+    });
+    // Both sides of the boundary must actually be exercised (at the
+    // default seed about two sites in five simulate).
+    let (peeled, proved) = (peeled.get(), proved.get());
+    assert!(proved > 0, "no read-hot site was proved dead");
+    assert!(peeled > 0, "no read-hot site simulated");
 }
 
 #[test]
