@@ -18,11 +18,7 @@
 # The default filter also records the telemetry-overhead pair:
 # `inject/trials-per-sec` (untraced, the zero-overhead contract's pinned
 # number) vs `inject/trials-per-sec-traced` (per-trial spans on), both
-# over the identical 100-trial plan — and `inject/trials-per-sec-sliced`,
-# the same plan through the word-parallel (bit-sliced) engine. The
-# untraced/sliced median ratio is the word-parallel speedup; the sliced
-# engine's records are byte-identical to the ladder's (pinned by the
-# equivalence suite), so the ratio is pure execution-strategy gain.
+# over the identical 100-trial plan.
 #
 # The deep-trace pair extends the telemetry-overhead story:
 # `inject/trials-per-sec-deep-traced` runs the identical plan with full
@@ -35,15 +31,17 @@
 # within 15% of untraced (the longstanding within-noise telemetry
 # contract, now enforced where the numbers are produced).
 #
-# The analytic-pruner pair rides the same plan:
-# `inject/trials-per-sec-pruned` runs it through the masking pruner
-# (dead-window proofs + site equivalence classes on the extended-tier
-# footprint, remainder delegated to the sliced engine) — the
-# sliced/pruned median ratio is the pruner's gain and is expected to be
-# >= 2x on this campaign shape — and `inject/pruner-overhead` runs a
-# 100-site batch the pruner discharges entirely without simulating, so
-# its median is the pure per-batch analysis cost. Pruned records are
-# byte-identical to the sliced engine's (same equivalence suite).
+# The fast-engine pair rides the same plan:
+# `inject/trials-per-sec-pruned` runs it through the fast engine (sites
+# the golden run decides — never read again, overwritten before their
+# next read, or locked or halted before it — classified on the golden
+# replay, the rest simulated on the ladder in the same batch); the
+# untraced/pruned median ratio is the fast engine's gain. Each call
+# includes the standalone answer replay a campaign pays inside its golden
+# pass. `inject/pruner-overhead` runs a 100-site batch the fast engine
+# decides entirely without simulating, so its median is the pure
+# per-batch analysis cost. Fast-engine records are byte-identical to the
+# ladder's (pinned by the equivalence suite).
 #
 # The distributed pair `inject/distributed-overhead/{in-process,
 # two-workers}` runs the same tiny campaign on the 2-thread in-process

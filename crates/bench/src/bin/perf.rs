@@ -113,22 +113,16 @@ fn campaign_plan(sp: &StartPoint, trials: u64, window: u64) -> Vec<TrialSpec> {
 ///   sparse, via a dedicated incremental fingerprint engine). The
 ///   deep/traced median ratio is the timeline cost; it is bounded even
 ///   for faults that stay diverged across the whole monitor window.
-/// * `inject/trials-per-sec-sliced` — the identical 100-trial batch
-///   through the word-parallel (bit-sliced) engine: lanes whose flipped
-///   word is overwritten or never read ride the shared golden evaluation,
-///   only genuinely diverging lanes peel off to the scalar ladder. The
-///   sliced/untraced median ratio is the word-parallel speedup. Every
-///   call includes the standalone answer replay (one tracked golden pass
-///   over the window answering the batch's access questions), which a
-///   campaign pays inside its shared golden pass instead.
 /// * `inject/trials-per-sec-pruned` — the identical 100-trial batch
-///   through the analytic masking pruner: dead-window proofs discharge
-///   most sites without a trial, the rest delegate to the sliced engine.
-///   Includes the answer replay, like the sliced row.
-/// * `inject/pruner-overhead` — a 100-site batch the pruner proves dead
-///   in its entirety (sites screened beforehand): no lane ever
-///   dispatches, so the median is the cost of the answer replay plus the
-///   pruning analysis (prefix walks, analytic classification) per batch.
+///   through the fast engine: sites the golden run decides are classified
+///   on the golden replay without a trial, the rest are simulated on the
+///   ladder. Every call includes the standalone answer replay (one tracked
+///   golden pass over the window answering the batch's access questions),
+///   which a campaign pays inside its shared golden pass instead.
+/// * `inject/pruner-overhead` — a 100-site batch the fast engine proves
+///   dead in its entirety (sites screened beforehand): no site is ever
+///   simulated, so the median is the cost of the answer replay plus the
+///   golden replays per batch.
 /// * `inject/snapshot-ladder-vs-naive/{naive,ladder}` — the same 25-trial
 ///   plan through per-trial `run_trial` (replay + flat fingerprints) and
 ///   batched `run_trials` (snapshot ladder + cached fingerprints). The
@@ -140,7 +134,6 @@ fn bench_campaign(b: &mut Bench) {
     if !wants(b, "inject/trials-per-sec")
         && !wants(b, "inject/trials-per-sec-traced")
         && !wants(b, "inject/trials-per-sec-deep-traced")
-        && !wants(b, "inject/trials-per-sec-sliced")
         && !wants(b, "inject/trials-per-sec-pruned")
         && !wants(b, "inject/pruner-overhead")
         && !wants(b, "inject/snapshot-ladder-vs-naive")
@@ -156,7 +149,6 @@ fn bench_campaign(b: &mut Bench) {
     b.bench("inject/trials-per-sec-deep-traced", || {
         sp.run_trials_deep_traced(MASK, &plan, MONITOR)
     });
-    b.bench("inject/trials-per-sec-sliced", || sp.run_trials_sliced(MASK, &plan, MONITOR));
     b.bench("inject/trials-per-sec-pruned", || sp.run_trials_pruned(MASK, &plan, MONITOR));
     if wants(b, "inject/pruner-overhead") {
         // Keep exactly the sites the pruner proves dead: the bench batch
@@ -238,7 +230,7 @@ fn bench_distributed(b: &mut Bench) {
                 scope.spawn(move || run_worker(&WorkerConfig::new(addr)).expect("worker"));
             }
             let report = coordinator.join().expect("coordinator thread");
-            run_campaign_with_tasks(&cfg, &wl, &CampaignObs::disabled(), report.tasks)
+            run_campaign_with_tasks(cfg, wl, &CampaignObs::disabled(), report.tasks)
         })
     });
     let _ = std::fs::remove_file(&journal_path);

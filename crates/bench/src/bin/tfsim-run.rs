@@ -6,14 +6,14 @@
 //!           [--max-cycles N] [--disasm] [--trace N] [--dump N] [--arch-only]
 //! tfsim-run campaign [--quick|--default-scale|--paper] [--seed N]
 //!           [--threads N] [--scale N] [--start-points N] [--trials N]
-//!           [--monitor N] [--workloads a,b,...] [--engine ladder|sliced|pruned]
+//!           [--monitor N] [--workloads a,b,...] [--engine ladder|pruned]
 //!           [--trace PATH [--deep-trace]] [--profile PATH]
 //!           [--journal PATH [--resume]]
 //! tfsim-run report PATH [--top N] [--propagation]
 //! tfsim-run serve [campaign flags] [--addr HOST] [--port N]
 //!           [--lease-ms N] [--heartbeat-ms N] [--idle-timeout-ms N]
 //!           [--ops-trace PATH]
-//! tfsim-run worker --connect HOST:PORT [--engine ladder|sliced|pruned]
+//! tfsim-run worker --connect HOST:PORT [--engine ladder|pruned]
 //!           [--shard PATH] [--chaos SPEC] [--max-retries N]
 //! tfsim-run merge SHARD.jsonl... [--trace PATH]
 //! ```
@@ -25,12 +25,11 @@
 //! `campaign` runs a fault-injection campaign and prints the outcome
 //! census. `--engine` picks the engine the trials run on — an execution
 //! strategy, not an experiment parameter: the census, trace, and journal
-//! are byte-identical on every engine. `pruned` (the default) proves most
-//! sites masked from the golden run without simulating them and reports
-//! the per-site disposition tally in the telemetry footer; `sliced` does
-//! so only for register-file, load/store-queue and miss-register sites;
-//! `ladder` simulates every trial and is the reference the others are
-//! pinned against. With `--trace PATH` it streams the per-trial JSONL event
+//! are byte-identical on both engines. `pruned` (the default) classifies
+//! every site the golden run decides without simulating it and reports
+//! the per-site disposition tally in the telemetry footer; `ladder`
+//! simulates every trial and is the reference the fast engine is pinned
+//! against. With `--trace PATH` it streams the per-trial JSONL event
 //! stream to `PATH` (plus metrics and a live progress meter on stderr);
 //! without it the campaign takes the untraced zero-overhead path. The
 //! census is rendered through the same `tfsim_stats::census_rows` builder
@@ -119,7 +118,7 @@ fn census(counts: &OutcomeCounts) -> String {
 fn parse_engine(args: &[String], i: usize) -> Engine {
     args.get(i + 1)
         .and_then(|s| Engine::parse(s))
-        .unwrap_or_else(|| die(EXIT_USAGE, "--engine needs one of ladder, sliced, pruned"))
+        .unwrap_or_else(|| die(EXIT_USAGE, "--engine needs one of ladder, pruned"))
 }
 
 fn parse_num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {

@@ -48,10 +48,6 @@
 
 use std::fmt;
 
-pub mod sliced;
-
-pub use sliced::{SlicedField, SlicedState};
-
 /// Logical function of a bit of state — the categories of the paper's
 /// Table 1, plus the two categories introduced by the protection hardware
 /// (`Ecc`, `Parity`).
@@ -338,9 +334,8 @@ impl fmt::Display for UnitId {
 
 /// Access-log coverage tier of a fingerprint unit.
 ///
-/// The word-parallel engine and the analytic masking pruner both consume
-/// golden-run read/write timelines, and a timeline is only trustworthy for
-/// a unit whose accessors actually log. Before this enum existed that
+/// The fast trial engine consumes golden-run read/write timelines, and a
+/// timeline is only trustworthy for a unit whose accessors actually log. Before this enum existed that
 /// coverage was implicit — an untracked structure silently produced an
 /// empty timeline, which the conservative consumers treated as "always
 /// simulate", quietly degrading to no-prune. Every unit now declares its
@@ -348,9 +343,8 @@ impl fmt::Display for UnitId {
 /// the pipeline's actual instrumentation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Loggability {
-    /// Logged whenever access tracking is on: the frozen tier the
-    /// word-parallel (sliced) engine's ride/heal proofs are audited
-    /// against (LSQ, register file, MHRs).
+    /// Logged whenever access tracking is on: the frozen core tier (LSQ,
+    /// register file, MHRs).
     Core,
     /// Logged only under *extended* access tracking: structures whose
     /// instrumentation exists for the analytic pruner's dead-window

@@ -56,33 +56,29 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// The snapshot ladder: every trial is simulated from a fault-free
-    /// walker. The reference oracle the other engines are pinned against.
+    /// walker. The reference oracle the fast engine is pinned against.
     Ladder,
-    /// The word-parallel (bit-sliced) engine: trials whose flipped
-    /// core-tier word is never read, or overwritten before its next read,
-    /// are classified from the golden run; the rest run on the ladder.
-    Sliced,
-    /// The analytic masking pruner: dead-window proofs over every
-    /// extended-tier word discharge most trials without simulating; the
-    /// rest run on the sliced engine.
+    /// The fast engine: a trial whose flipped word the golden run does not
+    /// read before deciding it — never accessed, overwritten before its
+    /// next read, or locked or halted before the read — is classified from
+    /// the golden run; the rest run on the ladder.
     #[default]
     Pruned,
 }
 
 impl Engine {
     /// Every engine, reference first.
-    pub const ALL: [Engine; 3] = [Engine::Ladder, Engine::Sliced, Engine::Pruned];
+    pub const ALL: [Engine; 2] = [Engine::Ladder, Engine::Pruned];
 
     /// The engine's command-line name.
     pub fn label(self) -> &'static str {
         match self {
             Engine::Ladder => "ladder",
-            Engine::Sliced => "sliced",
             Engine::Pruned => "pruned",
         }
     }
 
-    /// Parses a command-line name (`ladder`, `sliced`, or `pruned`).
+    /// Parses a command-line name (`ladder` or `pruned`).
     pub fn parse(name: &str) -> Option<Engine> {
         Engine::ALL.into_iter().find(|e| e.label() == name)
     }
@@ -532,12 +528,12 @@ fn scatter_of(bench: usize, records: &[TrialRecord]) -> ScatterPoint {
     }
 }
 
-/// Dispatches one task's drawn trial plan to the configured engine
-/// (snapshot ladder, sliced, or pruned) at the requested trace level, with
-/// the plan's access answers from the golden pass. The single definition
-/// keeps the in-process pool and the distributed worker on the same
-/// machine code, so a worker's results are byte-identical to the local
-/// run's by construction.
+/// Runs one task's drawn trial plan on the configured engine at the
+/// requested trace level: the ladder, or the fast engine with the plan's
+/// access answers from the golden pass. The single definition keeps the
+/// in-process pool and the distributed worker on the same machine code, so
+/// a worker's results are byte-identical to the local run's by
+/// construction.
 fn run_engine(
     config: &CampaignConfig,
     sp: &StartPoint,
@@ -546,32 +542,18 @@ fn run_engine(
     deep: bool,
 ) -> (crate::trial::TracedBatch, Option<PruneDispositions>) {
     let (mask, monitor, specs) = (config.mask, config.monitor_cycles, sp.plan());
-    let answers = sp.plan_answers();
-    let width = crate::sliced::LANE_WIDTH;
-    match (config.engine, traced) {
-        (Engine::Ladder, true) => (sp.run_trials_core::<true>(mask, specs, monitor, shim, deep), None),
-        (Engine::Ladder, false) => {
-            (sp.run_trials_core::<false>(mask, specs, monitor, shim, false), None)
+    let answers = match config.engine {
+        Engine::Ladder => None,
+        Engine::Pruned => {
+            Some(sp.plan_answers().expect("the golden pass answers a fast-engine plan"))
         }
-        (Engine::Sliced, true) => (
-            sp.run_trials_sliced_core::<true>(mask, specs, answers, monitor, width, shim, deep),
-            None,
-        ),
-        (Engine::Sliced, false) => (
-            sp.run_trials_sliced_core::<false>(mask, specs, answers, monitor, width, shim, false),
-            None,
-        ),
-        (Engine::Pruned, true) => {
-            let (batch, d) =
-                sp.run_trials_pruned_core::<true>(mask, specs, answers, monitor, width, shim, deep);
-            (batch, Some(d))
-        }
-        (Engine::Pruned, false) => {
-            let (batch, d) = sp
-                .run_trials_pruned_core::<false>(mask, specs, answers, monitor, width, shim, false);
-            (batch, Some(d))
-        }
-    }
+    };
+    let (batch, dispo) = if traced {
+        sp.run_trials_core::<true>(mask, specs, answers, monitor, shim, deep)
+    } else {
+        sp.run_trials_core::<false>(mask, specs, answers, monitor, shim, false)
+    };
+    (batch, answers.is_some().then_some(dispo))
 }
 
 /// The golden timeline every start point of benchmark `bench` views: one
@@ -1018,7 +1000,6 @@ fn run_campaign_core(
                     ls.record("advance", batch.advance_ns, batch.records.len() as u64);
                     ls.record("ride", batch.ride_ns, 1);
                     ls.record("classify", batch.classify_ns, 1);
-                    ls.record("prune", batch.prune_ns, 1);
                     ls.exit();
                 }
                 let (records, traces, deeps, faults, advance_ns, monitor_ns) = (

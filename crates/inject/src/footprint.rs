@@ -1,13 +1,12 @@
 //! Golden access answers: for each planned trial, the first golden access
 //! to its flipped word after the injection cycle.
 //!
-//! The word-parallel (sliced) engine, the analytic masking pruner and the
-//! analytic rider never read a word's whole golden access history. Each
-//! asks one question per trial: *what is the first golden access to this
-//! word strictly after `inject`, within the start point's window?* The
-//! answer ([`Answer`]: the word's [`Span`] and its first [`Access`]) plus
-//! the per-cycle retire aggregates the golden timeline stores
-//! (`crate::golden`) is all they consume.
+//! The fast engine (`crate::pruner`) never reads a word's whole golden
+//! access history. It asks one question per trial: *what is the first
+//! golden access to this word strictly after `inject`, within the start
+//! point's window?* The answer ([`Answer`]: the word's [`Span`] and its
+//! first [`Access`]) plus the per-cycle retire aggregates the golden
+//! timeline stores (`crate::golden`) is all the golden replay consumes.
 //!
 //! Questions are answered while a golden machine runs with extended access
 //! tracking on ([`Pipeline::set_access_tracking_extended`]): after every
@@ -23,8 +22,7 @@
 //! plus the fetch queue, rename maps and free lists, scheduler entries,
 //! reorder buffer and functional units. Core-tier words have identical
 //! event histories in both tiers (the extended drain forwards to the core
-//! one), so one extended answer serves the sliced engine, which still only
-//! rides core-tier words, and the pruner.
+//! one).
 //!
 //! The extended tier obeys a deliberately weaker write contract: a
 //! structure may under-claim a write by logging a read instead (the ROB's
@@ -40,9 +38,9 @@ use tfsim_uarch::Pipeline;
 
 use crate::trial::{StartPoint, TrialSpec};
 
-/// Golden per-cycle aggregates needed by the analytic classifiers: exactly
-/// what `classify` extracts from a `CycleReport` of a machine that replays
-/// the golden run.
+/// Golden per-cycle aggregates the golden replay steps through: exactly
+/// what the decision loop reads from a `CycleReport` of a machine that
+/// replays the golden run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CycleAgg {
     /// Number of `RetireEvent::Retired` events this step.

@@ -54,7 +54,7 @@ const VERSION: u64 = 2;
 /// task into a campaign with a different seed, mask, scale, workload set,
 /// or protection config would silently corrupt the census.
 ///
-/// `CampaignConfig::threads`, `sliced`, `pruned`, and `deep_trace` are
+/// `CampaignConfig::threads`, `engine`, and `deep_trace` are
 /// deliberately *not* part of the identity (they are execution strategies
 /// or observation levels and results are byte-identical across them), and
 /// neither is the trace level of the run (traced or not) or the hidden
@@ -175,8 +175,8 @@ impl JournalMeta {
     }
 
     /// Reconstructs the campaign this identity describes: the config
-    /// (execution-strategy fields — `threads`, `sliced`, `pruned`,
-    /// `deep_trace` — at their defaults, for the caller to choose) and the
+    /// (execution-strategy fields — `threads`, `engine`, `deep_trace` —
+    /// at their defaults, for the caller to choose) and the
     /// workload list, resolved by name against the standard set.
     /// Round-trips with [`JournalMeta::new`]: the rebuilt pair produces an
     /// equal `JournalMeta`.

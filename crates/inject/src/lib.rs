@@ -61,7 +61,6 @@ mod journal;
 mod lease;
 mod pruner;
 mod shard;
-mod sliced;
 mod trial;
 
 pub use campaign::{
@@ -75,7 +74,6 @@ pub use shard::{
     merge_shards, run_worker, serve_campaign, MergeStats, ServeConfig, ServeReport, WorkerConfig,
     WorkerReport,
 };
-pub use sliced::LANE_WIDTH;
 pub use tfsim_obs::PruneDispositions;
 pub use trial::{
     FailureMode, Outcome, StartPoint, TracedBatch, TrialFault, TrialRecord, TrialSpec, TrialTrace,

@@ -1,18 +1,23 @@
 //! Start-point preparation and trial execution.
 //!
-//! Two equivalent execution paths classify trials:
+//! Every engine classifies trials through one decision loop,
+//! [`StartPoint::decide`], generic over where it observes the trial's
+//! machine (a [`Machine`]). The execution paths that feed it:
 //!
 //! * [`StartPoint::run_trial`] — the naive reference: clone the checkpoint,
 //!   replay fault-free to the injection cycle, flip, monitor with flat
 //!   whole-machine fingerprints. Deliberately simple; the baseline every
 //!   optimization is measured and verified against.
-//! * [`StartPoint::run_trials`] — the campaign fast path: trials of one
-//!   start point are sorted by injection cycle and served from a single
+//! * [`StartPoint::run_trials`] — the snapshot ladder: trials of one start
+//!   point are sorted by injection cycle and served from a single
 //!   fault-free *walker* advanced monotonically through the injection
 //!   window (one clone per trial instead of a replay per trial), and
 //!   µArch-Match checks use a [`CachedFingerprint`] that only rehashes
 //!   dirty units. Produces bit-identical [`TrialRecord`]s — pinned by a
 //!   property test.
+//! * The fast engine (`crate::pruner`) — the same batch driver, which
+//!   first tries each site on the golden replay and simulates it on the
+//!   ladder only when the golden run does not decide it.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -25,9 +30,10 @@ use tfsim_bitstate::{
     UnitId, VisitState,
 };
 use tfsim_isa::{decode, Program};
-use tfsim_obs::DeepTrace;
+use tfsim_obs::{DeepTrace, PruneDispositions};
 use tfsim_uarch::{ExcCode, Pipeline, RetireEvent};
 
+use crate::footprint::Answer;
 use crate::golden::GoldenTimeline;
 
 /// The paper's seven failure modes (Table 2).
@@ -206,19 +212,15 @@ pub struct TracedBatch {
     pub advance_ns: u64,
     /// Wall-clock time spent flipping, monitoring, and classifying.
     pub monitor_ns: u64,
-    /// Portion of `monitor_ns` spent in the analytic ride/heal classifier
-    /// (sliced and pruned paths; zero on the scalar ladder).
+    /// Portion of `monitor_ns` spent in the analytic rider, whether or not
+    /// it decided the trial (fast engine; zero on the scalar ladder).
     pub ride_ns: u64,
     /// Portion of `monitor_ns` spent in scalar classification.
     pub classify_ns: u64,
-    /// Wall-clock time spent in the pruner's disposition proofs. Zero
-    /// outside the pruned path; *not* part of `monitor_ns` — the analysis
-    /// runs before any trial.
-    pub prune_ns: u64,
     /// Wall-clock time spent answering the batch's access questions with a
-    /// tracked replay of the window (standalone sliced and pruned batches;
-    /// zero in campaigns, whose golden pass answers them). Part of neither
-    /// `monitor_ns` nor `prune_ns`.
+    /// tracked replay of the window (standalone fast-engine batches; zero
+    /// in campaigns, whose golden pass answers them). Not part of
+    /// `monitor_ns`.
     pub footprint_ns: u64,
 }
 
@@ -227,13 +229,13 @@ thread_local! {
     /// process panic hook stays quiet for contained unwinds (the fault is
     /// captured in a [`TrialFault`]; stderr noise would interleave across
     /// worker threads).
-    pub(crate) static CONTAINED: Cell<bool> = const { Cell::new(false) };
+    static CONTAINED: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs (once per process) a panic hook that suppresses output for
 /// contained trial panics and delegates everything else to the previous
 /// hook unchanged.
-pub(crate) fn install_containment_hook() {
+fn install_containment_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = panic::take_hook();
@@ -246,7 +248,7 @@ pub(crate) fn install_containment_hook() {
 }
 
 /// Extracts a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: Box<dyn Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(p) => match p.downcast::<&'static str>() {
@@ -363,7 +365,7 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> Vec<TrialRecord> {
-        self.run_trials_core::<false>(mask, specs, monitor, None, false).records
+        self.run_trials_core::<false>(mask, specs, None, monitor, None, false).0.records
     }
 
     /// [`StartPoint::run_trials`] with telemetry: additionally returns a
@@ -382,7 +384,7 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> TracedBatch {
-        self.run_trials_core::<true>(mask, specs, monitor, None, false)
+        self.run_trials_core::<true>(mask, specs, None, monitor, None, false).0
     }
 
     /// [`StartPoint::run_trials_traced`] in deep-trace mode: additionally
@@ -401,19 +403,27 @@ impl StartPoint {
         specs: &[TrialSpec],
         monitor: u64,
     ) -> TracedBatch {
-        self.run_trials_core::<true>(mask, specs, monitor, None, true)
+        self.run_trials_core::<true>(mask, specs, None, monitor, None, true).0
     }
 
-    /// The shared batched ladder. `TRACED` is a compile-time switch: the
+    /// The one batch driver. `TRACED` is a compile-time switch: the
     /// `false` instantiation contains no timing calls and passes no trace
     /// slots, so the campaign hot path is the pre-telemetry machine code.
     ///
-    /// Every trial's flip-and-monitor run executes under a `catch_unwind`
-    /// supervisor: a panic out of the faulted model (a hardening escape)
-    /// quarantines that one trial as a [`TrialFault`] and the batch
-    /// continues. The fault-free walker is never touched by a contained
-    /// unwind — the trial runs on a clone — so the surviving trials'
-    /// records are bit-identical to a batch without the panic.
+    /// `answers` selects the engine. `None` is the snapshot ladder: every
+    /// trial is simulated. With the specs' access answers (aligned with
+    /// them) each answered site is first tried analytically by
+    /// [`StartPoint::ride`]; a site the golden run does not decide, an
+    /// unanswered site, and the panic shim's site are simulated. The
+    /// returned tally counts both kinds (every site simulates on the
+    /// ladder).
+    ///
+    /// Every simulated trial's flip-and-monitor run executes under a
+    /// `catch_unwind` supervisor: a panic out of the faulted model (a
+    /// hardening escape) quarantines that one trial as a [`TrialFault`]
+    /// and the batch continues. The fault-free walker is never touched by
+    /// a contained unwind — the trial runs on a clone — so the surviving
+    /// trials' records are bit-identical to a batch without the panic.
     ///
     /// `panic_shim` names an input spec index whose trial panics on
     /// purpose before classification (campaign test hook: exercises the
@@ -426,11 +436,13 @@ impl StartPoint {
         &self,
         mask: InjectionMask,
         specs: &[TrialSpec],
+        answers: Option<&[Option<Answer>]>,
         monitor: u64,
         panic_shim: Option<usize>,
         deep: bool,
-    ) -> TracedBatch {
+    ) -> (TracedBatch, PruneDispositions) {
         let deep = TRACED && deep;
+        debug_assert!(answers.is_none_or(|a| a.len() == specs.len()), "one answer per spec");
         install_containment_hook();
         let mut order: Vec<usize> = (0..specs.len()).collect();
         order.sort_by_key(|&i| specs[i].inject_cycle);
@@ -441,10 +453,28 @@ impl StartPoint {
         let mut traces = vec![TrialTrace::default(); if TRACED { specs.len() } else { 0 }];
         let mut deeps = vec![DeepTrace::new(); if deep { specs.len() } else { 0 }];
         let mut faults = Vec::new();
-        let mut advance_ns = 0u64;
-        let mut monitor_ns = 0u64;
+        let mut dispo = PruneDispositions::default();
+        let (mut advance_ns, mut ride_ns, mut classify_ns) = (0u64, 0u64, 0u64);
         for i in order {
             let spec = specs[i];
+            let answer = answers.and_then(|a| a[i]).filter(|_| panic_shim != Some(i));
+            if let Some(answer) = answer {
+                let t0 = TRACED.then(Instant::now);
+                let obs = TrialObservers {
+                    trace: if TRACED { Some(&mut traces[i]) } else { None },
+                    deep: if deep { Some(&mut deeps[i]) } else { None },
+                };
+                let rode = self.ride(answer, spec, monitor, obs);
+                if let Some(t0) = t0 {
+                    ride_ns += t0.elapsed().as_nanos() as u64;
+                }
+                if let Some(rec) = rode {
+                    dispo.proved_dead += 1;
+                    out[i] = Some(rec);
+                    continue;
+                }
+            }
+            dispo.simulated += 1;
             let t0 = TRACED.then(Instant::now);
             while walked < spec.inject_cycle && walker.running() {
                 walker.step();
@@ -481,7 +511,7 @@ impl StartPoint {
                 }
             }
             if let Some(t1) = t1 {
-                monitor_ns += t1.elapsed().as_nanos() as u64;
+                classify_ns += t1.elapsed().as_nanos() as u64;
             }
         }
         // Quarantined trials have no record, trace, or deep timeline;
@@ -501,39 +531,32 @@ impl StartPoint {
                 }
             }
         }
-        // On the scalar ladder all monitor time is classification time.
-        TracedBatch {
+        let batch = TracedBatch {
             records,
             traces: kept_traces,
             faults,
             deeps: kept_deeps,
             advance_ns,
-            monitor_ns,
-            ride_ns: 0,
-            classify_ns: monitor_ns,
-            prune_ns: 0,
+            monitor_ns: ride_ns + classify_ns,
+            ride_ns,
+            classify_ns,
             footprint_ns: 0,
-        }
+        };
+        (batch, dispo)
     }
 
-    /// The shared classification loop: takes a machine already advanced
-    /// fault-free to `spec.inject_cycle`, flips the bit, and monitors. With
-    /// `cached_fp` the µArch-Match checks run on a [`CachedFingerprint`]
-    /// (fast path); without, on flat [`fingerprint_of`] (reference path).
-    /// Both hash definitions are identical by construction.
+    /// Classifies a trial on a stepped machine: takes a machine already
+    /// advanced fault-free to `spec.inject_cycle`, flips the bit, and runs
+    /// the decision loop on it. With `cached_fp` the µArch-Match checks run
+    /// on a [`CachedFingerprint`] (fast path); without, on flat
+    /// [`fingerprint_of`] (reference path). Both hash definitions are
+    /// identical by construction.
     ///
-    /// With `obs.trace`, the decision cycle and first observed divergence
-    /// are recorded into it. Tracing never alters the classification: all
-    /// trace work happens off the decision path, after the outcome is
-    /// sealed.
-    ///
-    /// With `obs.deep`, divergent µArch checks additionally sample the
-    /// full diverged-unit set into the given [`DeepTrace`] — densely just
-    /// after injection, at every eighth check once sparse. The samples come
-    /// from a *dedicated* incremental [`CachedFingerprint`], never the
-    /// classifier's, whose suspect short-circuit feeds the journaled
-    /// `diverged_unit` attribution and must stay byte-identical to the
-    /// non-deep run.
+    /// With `obs.deep`, divergent µArch checks sample the full
+    /// diverged-unit set from a *dedicated* incremental
+    /// [`CachedFingerprint`], never the classifier's, whose suspect
+    /// short-circuit feeds the journaled `diverged_unit` attribution and
+    /// must stay byte-identical to the non-deep run.
     pub(crate) fn classify(
         &self,
         mask: InjectionMask,
@@ -543,24 +566,71 @@ impl StartPoint {
         cached_fp: bool,
         obs: TrialObservers<'_>,
     ) -> TrialRecord {
-        let TrialObservers { trace, mut deep } = obs;
-        let TrialSpec { target, inject_cycle } = spec;
-        let traced = trace.is_some();
-        let base_instret = self.checkpoint().instret();
-
-        // Flip the bit.
-        let mut flip = FlipBit::new(mask, target);
+        let mut flip = FlipBit::new(mask, spec.target);
         cpu.visit_state(&mut flip);
         let hit = flip.flipped.expect("target bit within eligible range");
+        let mut machine = Stepped {
+            sp: self,
+            base_instret: self.checkpoint().instret(),
+            cpu,
+            // Created after the flip: the caches start cold, so the flip
+            // (which bypasses generation stamps) can never be hidden by a
+            // stale entry. Deep sampling gets its own engine: it must never
+            // touch the classifier's, and a flat walk per divergent check
+            // would dominate the monitor loop on long-lived divergences.
+            engine: cached_fp.then(CachedFingerprint::new),
+            deep_engine: obs.deep.is_some().then(CachedFingerprint::new),
+        };
+        let outcome = self
+            .decide(&mut machine, spec.inject_cycle, monitor, u64::MAX, obs)
+            .expect("an unbounded walk always decides");
+        self.record(outcome, spec.inject_cycle, hit.category, hit.kind, hit.unit)
+    }
 
-        let make = |outcome| TrialRecord {
+    /// A trial's record: its outcome plus the site and the golden
+    /// valid-instruction count at injection.
+    pub(crate) fn record(
+        &self,
+        outcome: Outcome,
+        inject_cycle: u64,
+        category: Category,
+        kind: StorageKind,
+        unit: Option<UnitId>,
+    ) -> TrialRecord {
+        TrialRecord {
             outcome,
-            category: hit.category,
-            kind: hit.kind,
-            unit: hit.unit,
+            category,
+            kind,
+            unit,
             inject_cycle,
             valid_instructions: self.valid_at(inject_cycle),
-        };
+        }
+    }
+
+    /// The paper's classifier, once for every engine: monitors `machine`
+    /// from `inject_cycle` for up to `monitor` cycles and decides µArch
+    /// Match, a failure mode, or the Gray Area (Sections 2.2 and 4.1).
+    ///
+    /// `last` bounds the steps the loop may take. A walk cut there before
+    /// the window closes has not decided: it returns `None` and leaves the
+    /// trace slot untouched (deep samples it pushed are the caller's to
+    /// drop). With `last` at or past the window every walk decides.
+    ///
+    /// With `obs.trace`, the decision cycle and first observed divergence
+    /// are recorded into it; with `obs.deep`, divergent µArch checks
+    /// sample the diverged-unit set — densely just after injection, then
+    /// at every eighth check. Observation never alters the outcome: all of
+    /// it reads the machine or happens after the outcome is sealed.
+    pub(crate) fn decide<M: Machine>(
+        &self,
+        machine: &mut M,
+        inject_cycle: u64,
+        monitor: u64,
+        last: u64,
+        obs: TrialObservers<'_>,
+    ) -> Option<Outcome> {
+        let TrialObservers { trace, mut deep } = obs;
+        let traced = trace.is_some();
 
         // First divergence a µArch check observed: (cycle, unit).
         let mut divergence: Option<(u64, Option<UnitId>)> = None;
@@ -569,116 +639,41 @@ impl StartPoint {
         let (outcome, decided_at) = 'decide: {
             // If the golden run halted before the injection point, the flip
             // landed in a halted machine: architecturally invisible.
-            if !cpu.running() {
+            if !machine.running() {
                 break 'decide (Outcome::MicroArchMatch, inject_cycle);
             }
 
-            let mut matched_records = (cpu.instret() - base_instret) as usize;
+            let mut matched_records = machine.instret() as usize;
             let mut last_retire_cycle = inject_cycle;
             let mut flushes_without_retire = 0u32;
             let horizon = self.horizon().min(inject_cycle + monitor);
-            // Created after the flip: the cache starts cold, so the flip
-            // (which bypasses generation stamps) can never be hidden by a
-            // stale entry.
-            let mut engine = cached_fp.then(CachedFingerprint::new);
-            // Deep sampling gets its own incremental engine: it must never
-            // touch the classifier's (whose suspect short-circuit feeds the
-            // journaled attribution), and a flat walk per divergent check
-            // would dominate the monitor loop on long-lived divergences.
-            // Also created post-flip, so its cold cache cannot hide the
-            // flipped word.
-            let mut deep_engine = deep.is_some().then(CachedFingerprint::new);
 
-            for step in (inject_cycle + 1)..=horizon {
+            for step in (inject_cycle + 1)..=horizon.min(last) {
                 last_step = step;
-                let report = cpu.step();
-                if report.retired > 0 {
+                let cycle = machine.step(step, &mut matched_records);
+                if cycle.retired {
                     last_retire_cycle = step;
                     flushes_without_retire = 0;
                 }
-                if report.protective_flush {
+                if cycle.protective_flush {
                     // The timeout watchdog attempted a recovery: give it
                     // time to refill the pipeline before declaring deadlock
                     // — but a machine that keeps flushing without ever
                     // retiring is wedged beyond the watchdog's reach (the
                     // paper's store-buffer example).
                     flushes_without_retire += 1;
-                    if flushes_without_retire >= 3 {
+                    if flushes_without_retire >= LOCK_FLUSHES {
                         break 'decide (Outcome::Failure(FailureMode::Locked), step);
                     }
                     last_retire_cycle = step;
                 }
-                for ev in report.events {
-                    match ev {
-                        RetireEvent::Retired(rec) => {
-                            match self.records().get(matched_records) {
-                                Some(g) => {
-                                    // Architectural-state comparison. The
-                                    // record's `pc`/`raw` fields (and the
-                                    // next_pc of non-branches, which is
-                                    // pc+4 by wiring) are ROB metadata, not
-                                    // architectural state: flips there
-                                    // leave execution untouched. The
-                                    // checker compares the resolved flow of
-                                    // control transfers, register writes,
-                                    // and stores — any wrong-instruction
-                                    // commit diverges in those.
-                                    if decode(g.raw).is_control() && rec.next_pc != g.next_pc {
-                                        break 'decide (
-                                            Outcome::Failure(FailureMode::Ctrl),
-                                            step,
-                                        );
-                                    }
-                                    if rec.dst != g.dst {
-                                        break 'decide (
-                                            Outcome::Failure(FailureMode::Regfile),
-                                            step,
-                                        );
-                                    }
-                                    if rec.store != g.store {
-                                        break 'decide (
-                                            Outcome::Failure(FailureMode::Mem),
-                                            step,
-                                        );
-                                    }
-                                }
-                                None => {
-                                    // The injected machine ran ahead of the
-                                    // golden horizon; nothing left to
-                                    // verify.
-                                    break 'decide (Outcome::GrayArea, step);
-                                }
-                            }
-                            matched_records += 1;
-                        }
-                        RetireEvent::Halted { code } => {
-                            // Correct only if the golden run also halts
-                            // having retired exactly the same stream.
-                            let golden_total = self.records().len();
-                            let outcome = match self.halted_at {
-                                Some((_, gcode))
-                                    if gcode == code && matched_records == golden_total =>
-                                {
-                                    Outcome::MicroArchMatch
-                                }
-                                _ => Outcome::Failure(FailureMode::Ctrl),
-                            };
-                            break 'decide (outcome, step);
-                        }
-                        RetireEvent::Exception(e) => {
-                            let mode = match e {
-                                ExcCode::Itlb => FailureMode::Itlb,
-                                ExcCode::Dtlb => FailureMode::Dtlb,
-                                _ => FailureMode::Except,
-                            };
-                            break 'decide (Outcome::Failure(mode), step);
-                        }
-                    }
+                if let Some(outcome) = cycle.verdict {
+                    break 'decide (outcome, step);
                 }
 
                 // Deadlock/livelock detection (Section 4.1: 100 cycles
                 // without retirement).
-                if cpu.running() && step - last_retire_cycle >= 100 {
+                if machine.running() && step - last_retire_cycle >= LOCK_CYCLES {
                     break 'decide (Outcome::Failure(FailureMode::Locked), step);
                 }
 
@@ -686,19 +681,12 @@ impl StartPoint {
                 // cycle with the same retirement count. Once equal, the two
                 // deterministic machines stay equal, so sparse checking
                 // after an initial dense window loses nothing.
-                let dense = step - inject_cycle <= 64;
-                if (dense || step % 8 == 0)
-                    && self.instret_at(step) == cpu.instret() - base_instret
-                    && matched_records as u64 == cpu.instret() - base_instret
+                let dense = step - inject_cycle <= DENSE_WINDOW;
+                if (dense || step % SPARSE_CHECK == 0)
+                    && self.instret_at(step) == machine.instret()
+                    && matched_records as u64 == machine.instret()
                 {
-                    let eq = match engine.as_mut() {
-                        // Fast path: per-unit comparison against the golden
-                        // row, short-circuiting on the unit a latent fault
-                        // keeps diverged.
-                        Some(e) => e.matches(&mut cpu, self.fp(step), self.unit_fp(step)),
-                        None => fingerprint_of(&mut cpu) == self.fp(step),
-                    };
-                    if eq {
+                    if machine.matches(step) {
                         // A heal closes the divergence timeline (change-only
                         // push: a no-op unless divergence was ever sampled).
                         if let Some(d) = deep.as_deref_mut() {
@@ -707,33 +695,26 @@ impl StartPoint {
                         break 'decide (Outcome::MicroArchMatch, step);
                     }
                     if traced && divergence.is_none() {
-                        // The check already localized the mismatch while
-                        // short-circuiting: reading the suspect is free.
-                        divergence =
-                            Some((step, engine.as_ref().and_then(|e| e.suspect())));
+                        divergence = Some((step, machine.suspect()));
                     }
+                    // Deep sample: which units hold faulty state right now
+                    // — at every check in the dense window, then at every
+                    // eighth check. Change-only encoding collapses repeats
+                    // anyway, and the residency buckets the timeline feeds
+                    // are far coarser than 64 cycles.
                     if let Some(d) = deep.as_deref_mut() {
-                        // Deep sample: which units hold faulty state right
-                        // now — at every check in the dense window, then at
-                        // every eighth check. Change-only encoding collapses
-                        // repeats anyway, and the residency buckets the
-                        // timeline feeds are far coarser than 64 cycles.
-                        // The sampling cadence is mirrored verbatim by
-                        // `ride_lane`'s synthesized timelines.
-                        if dense || step % 64 == 0 {
-                            let e = deep_engine.as_mut().expect("deep sampling engine");
-                            e.fingerprint(&mut cpu);
-                            d.push(
-                                step,
-                                UnitId::diverged_mask(e.unit_hashes(), self.unit_fp(step)),
-                            );
+                        if dense || step % DEEP_SAMPLE == 0 {
+                            d.push(step, machine.diverged(step));
                         }
                     }
                 }
 
-                if !cpu.running() {
-                    break;
+                if !machine.running() {
+                    break 'decide (Outcome::GrayArea, step);
                 }
+            }
+            if last < horizon {
+                return None;
             }
             (Outcome::GrayArea, last_step)
         };
@@ -743,20 +724,16 @@ impl StartPoint {
         {
             // The outcome was decided without any µArch check observing
             // the divergence (e.g. an architectural mismatch in the
-            // retire stream): attribute it with one hierarchical walk
-            // at the decision state. Deep mode reuses the same walk to
+            // retire stream): attribute it from the whole machine at the
+            // decision state. Deep mode reuses the same observation to
             // close the timeline with the final diverged-unit set.
-            // Happens after the outcome is sealed, so it cannot perturb
-            // classification.
             let at = last_step.min(self.horizon());
-            let mut fp = Fingerprint::new();
-            cpu.visit_state(&mut fp);
-            if traced && divergence.is_none() && fp.value() != self.fp(at) {
-                let units = self.diverging_units(at, fp.unit_hashes());
-                divergence = Some((at, units.first().copied()));
+            let (root_diverged, units) = machine.divergence(at);
+            if traced && divergence.is_none() && root_diverged {
+                divergence = Some((at, UnitId::from_mask(units).next()));
             }
             if let Some(d) = deep {
-                d.push(at, UnitId::diverged_mask(fp.unit_hashes(), self.unit_fp(at)));
+                d.push(at, units);
             }
         }
         if let Some(tr) = trace {
@@ -766,7 +743,152 @@ impl StartPoint {
                 tr.diverged_unit = unit;
             }
         }
-        make(outcome)
+        Some(outcome)
+    }
+
+    /// How a halt retiring `matched` golden records with exit `code` is
+    /// classified: correct only if the golden run also halts, with the
+    /// same code, having retired exactly the same stream.
+    pub(crate) fn halt_outcome(&self, code: u64, matched: usize) -> Outcome {
+        match self.halted_at {
+            Some((_, gcode)) if gcode == code && matched == self.records().len() => {
+                Outcome::MicroArchMatch
+            }
+            _ => Outcome::Failure(FailureMode::Ctrl),
+        }
+    }
+}
+
+/// Three protective flushes without a retirement in between: locked.
+const LOCK_FLUSHES: u32 = 3;
+/// Cycles without retirement that declare deadlock (Section 4.1).
+const LOCK_CYCLES: u64 = 100;
+/// Cycles after injection in which every cycle is a µArch-Match check.
+const DENSE_WINDOW: u64 = 64;
+/// After the dense window, every `SPARSE_CHECK`-th cycle is a check.
+const SPARSE_CHECK: u64 = 8;
+/// After the dense window, deep sampling runs at every `DEEP_SAMPLE`-th
+/// cycle (every eighth check).
+const DEEP_SAMPLE: u64 = 64;
+
+/// What one step of a trial's machine shows the decision loop.
+pub(crate) struct Cycle {
+    /// The step retired at least one instruction.
+    pub(crate) retired: bool,
+    /// The step performed a protective (watchdog/parity) flush.
+    pub(crate) protective_flush: bool,
+    /// The first retire-stream event of the step that decides the trial.
+    pub(crate) verdict: Option<Outcome>,
+}
+
+/// Where [`StartPoint::decide`] observes a trial's machine. Two sources
+/// implement it: [`Stepped`], a faulted [`Pipeline`] stepped cycle by
+/// cycle, and the golden replay of the fast engine (`crate::pruner`),
+/// whose machine provably follows the golden run with a latent δ.
+pub(crate) trait Machine {
+    /// Whether the machine is still running.
+    fn running(&self) -> bool;
+    /// Instructions retired since the checkpoint.
+    fn instret(&self) -> u64;
+    /// Advances the machine into relative cycle `step`, checking its
+    /// retire stream against the golden records from index `matched`
+    /// (advanced past every record that matched).
+    fn step(&mut self, step: u64, matched: &mut usize) -> Cycle;
+    /// Whether the whole machine equals the golden run at `step`.
+    fn matches(&mut self, step: u64) -> bool;
+    /// The unit the last failed [`Machine::matches`] localized.
+    fn suspect(&self) -> Option<UnitId>;
+    /// The units that differ from the golden run at `step`, as a
+    /// [`UnitId::diverged_mask`].
+    fn diverged(&mut self, step: u64) -> u16;
+    /// Whether the whole machine differs from the golden run at `at`, and
+    /// the units that do.
+    fn divergence(&mut self, at: u64) -> (bool, u16);
+}
+
+/// A faulted pipeline, stepped: what [`StartPoint::classify`] observes.
+struct Stepped<'a> {
+    sp: &'a StartPoint,
+    base_instret: u64,
+    cpu: Pipeline,
+    /// The µArch-Match engine; `None` hashes flat.
+    engine: Option<CachedFingerprint>,
+    /// Deep sampling's own engine, when deep tracing.
+    deep_engine: Option<CachedFingerprint>,
+}
+
+impl Machine for Stepped<'_> {
+    fn running(&self) -> bool {
+        self.cpu.running()
+    }
+
+    fn instret(&self) -> u64 {
+        self.cpu.instret() - self.base_instret
+    }
+
+    fn step(&mut self, _step: u64, matched: &mut usize) -> Cycle {
+        let report = self.cpu.step();
+        let verdict = report.events.into_iter().find_map(|ev| match ev {
+            RetireEvent::Retired(rec) => match self.sp.records().get(*matched) {
+                Some(g) => {
+                    // Architectural-state comparison. The record's
+                    // `pc`/`raw` fields (and the next_pc of non-branches,
+                    // which is pc+4 by wiring) are ROB metadata, not
+                    // architectural state: flips there leave execution
+                    // untouched. The checker compares the resolved flow of
+                    // control transfers, register writes, and stores — any
+                    // wrong-instruction commit diverges in those.
+                    if decode(g.raw).is_control() && rec.next_pc != g.next_pc {
+                        Some(Outcome::Failure(FailureMode::Ctrl))
+                    } else if rec.dst != g.dst {
+                        Some(Outcome::Failure(FailureMode::Regfile))
+                    } else if rec.store != g.store {
+                        Some(Outcome::Failure(FailureMode::Mem))
+                    } else {
+                        *matched += 1;
+                        None
+                    }
+                }
+                // The injected machine ran ahead of the golden horizon;
+                // nothing left to verify.
+                None => Some(Outcome::GrayArea),
+            },
+            RetireEvent::Halted { code } => Some(self.sp.halt_outcome(code, *matched)),
+            RetireEvent::Exception(e) => Some(Outcome::Failure(match e {
+                ExcCode::Itlb => FailureMode::Itlb,
+                ExcCode::Dtlb => FailureMode::Dtlb,
+                _ => FailureMode::Except,
+            })),
+        });
+        Cycle { retired: report.retired > 0, protective_flush: report.protective_flush, verdict }
+    }
+
+    fn matches(&mut self, step: u64) -> bool {
+        match self.engine.as_mut() {
+            // Fast path: per-unit comparison against the golden row,
+            // short-circuiting on the unit a latent fault keeps diverged.
+            Some(e) => e.matches(&mut self.cpu, self.sp.fp(step), self.sp.unit_fp(step)),
+            None => fingerprint_of(&mut self.cpu) == self.sp.fp(step),
+        }
+    }
+
+    fn suspect(&self) -> Option<UnitId> {
+        // The check already localized the mismatch while short-circuiting:
+        // reading the suspect is free.
+        self.engine.as_ref().and_then(|e| e.suspect())
+    }
+
+    fn diverged(&mut self, step: u64) -> u16 {
+        let e = self.deep_engine.as_mut().expect("deep sampling engine");
+        e.fingerprint(&mut self.cpu);
+        UnitId::diverged_mask(e.unit_hashes(), self.sp.unit_fp(step))
+    }
+
+    fn divergence(&mut self, at: u64) -> (bool, u16) {
+        // One hierarchical walk, after the outcome is sealed.
+        let mut fp = Fingerprint::new();
+        self.cpu.visit_state(&mut fp);
+        (fp.value() != self.sp.fp(at), UnitId::diverged_mask(fp.unit_hashes(), self.sp.unit_fp(at)))
     }
 }
 

@@ -1,12 +1,12 @@
-//! Per-structure access logging for the word-parallel trial engine.
+//! Per-structure access logging for the fast trial engine.
 //!
-//! The sliced trial engine (`tfsim-inject`) rides fault lanes on a single
-//! golden evaluation for as long as the flipped word is provably unread: a
-//! lane peels off to the scalar path the first time the machine *reads*
-//! the corrupted cell, and heals (rejoins golden exactly) when the machine
-//! *overwrites* it with freshly computed data. Both decisions require a
-//! per-cycle record of which state words the pipeline touched, which this
-//! module provides.
+//! The fast trial engine (`tfsim-inject`) classifies a trial from the
+//! golden run for as long as the flipped word is provably unread: the
+//! trial peels off to the scalar path once the machine *reads* the
+//! corrupted cell before the golden run decided it, and heals (rejoins
+//! golden exactly) when the machine *overwrites* it with freshly computed
+//! data. Both decisions require a per-cycle record of which state words
+//! the pipeline touched, which this module provides.
 //!
 //! Each RAM-like structure owns an [`AccessLog`] and reports accesses as
 //! structure-local word ordinals. Logging is disabled by default (one

@@ -4,7 +4,7 @@
 //! delivery.
 //!
 //! LSQ state is consumed exclusively through the logged accessors so the
-//! word-parallel trial engine can see exactly which queue words each cycle
+//! fast trial engine can see exactly which queue words each cycle
 //! touched. Boolean short-circuits are kept bitwise-identical to the
 //! pre-accessor code so the *set* of logged reads is the set of words the
 //! cycle's outcome actually depended on.

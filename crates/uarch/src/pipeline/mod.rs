@@ -483,7 +483,7 @@ impl Pipeline {
     /// Enables (or disables) word-granular access logging in the tracked
     /// RAM-like structures (LSQ, physical register file, MHRs). Logging is
     /// instrumentation, not machine state: it never changes execution and
-    /// is not part of the visit walk. The word-parallel trial engine turns
+    /// is not part of the visit walk. The fast trial engine turns
     /// it on for a private golden clone only.
     pub fn set_access_tracking(&mut self, on: bool) {
         self.lsq.log.set_enabled(on);
@@ -495,10 +495,8 @@ impl Pipeline {
     /// structures plus every remaining loggable structure — fetch queue,
     /// fetch-buffer and decode-pipe latches, rename maps and free lists,
     /// scheduler, ROB, and functional units (the units declaring
-    /// [`tfsim_bitstate::Loggability::Extended`]). The analytic masking
-    /// pruner builds its footprint from this wider tier; the sliced trial
-    /// engine keeps the narrower core tier so its audited ride/heal kernel
-    /// is unchanged.
+    /// [`tfsim_bitstate::Loggability::Extended`]). The fast trial engine
+    /// reads its access answers from this wider tier.
     pub fn set_access_tracking_extended(&mut self, on: bool) {
         self.set_access_tracking(on);
         self.fq.log.set_enabled(on);

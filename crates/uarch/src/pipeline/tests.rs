@@ -364,7 +364,7 @@ fn flow_log_conservation() {
     let mut cpu = pipeline_with_tlbs(&Program::new("flow", a), PipelineConfig::baseline());
     cpu.enable_flow_log();
     cpu.run(100_000);
-    assert_eq!(cpu.halted().is_some(), true);
+    assert!(cpu.halted().is_some());
     let events = cpu.take_flow_events();
     use std::collections::BTreeMap;
     let mut state: BTreeMap<u64, u8> = BTreeMap::new();
@@ -688,7 +688,7 @@ fn invariants_hold_throughout_a_fault_free_run() {
         while cpu.running() && cycles < 200_000 {
             cpu.step();
             cycles += 1;
-            if cycles % 64 == 0 {
+            if cycles.is_multiple_of(64) {
                 let v = cpu.check_invariants();
                 assert!(v.is_empty(), "fault-free violation at cycle {cycles}: {v:?}");
             }
@@ -788,7 +788,7 @@ fn check_invariants_flags_planted_corruptions() {
 
 // --- Access-log ordinal pinning -----------------------------------------
 //
-// The sliced trial engine trusts `drain_accesses` to name, in *visit
+// The fast trial engine trusts `drain_accesses` to name, in *visit
 // order*, exactly the unit-local field each structure access touched. These
 // tests pin that mapping against the real state walk: perform an operation
 // twice — once untracked (diffing full field dumps to find which fields
@@ -801,6 +801,9 @@ mod access_ordinals {
     use tfsim_bitstate::{FieldMeta, StateVisitor, UnitId};
     use crate::exec::schedw;
     use crate::queues::{lqw, sqw, LqEntry, RobEntry, SlotPayload, SqEntry};
+
+    /// A set of words, by `(unit, within-unit field ordinal)`.
+    type WordSet = BTreeSet<(UnitId, u32)>;
 
     /// Records `(unit, within-unit field ordinal, value)` for every field.
     struct FieldDump {
@@ -864,13 +867,13 @@ mod access_ordinals {
     fn check_writes_cover_changes(
         config: PipelineConfig,
         op: &dyn Fn(&mut Pipeline),
-    ) -> (BTreeSet<(UnitId, u32)>, BTreeSet<(UnitId, u32)>) {
+    ) -> (WordSet, WordSet) {
         let mut plain = tiny_pipeline(config);
         let before = dump(&mut plain);
         op(&mut plain);
         let after = dump(&mut plain);
         assert_eq!(before.len(), after.len(), "visit shape changed");
-        let changed: BTreeSet<(UnitId, u32)> = before
+        let changed: WordSet = before
             .iter()
             .zip(after.iter())
             .filter(|(b, a)| b.2 != a.2)
@@ -1083,7 +1086,7 @@ mod access_ordinals {
     fn check_extended_events(
         config: PipelineConfig,
         op: &dyn Fn(&mut Pipeline),
-    ) -> (BTreeSet<(UnitId, u32)>, BTreeSet<(UnitId, u32)>) {
+    ) -> (WordSet, WordSet) {
         let mut plain = tiny_pipeline(config);
         let before = dump(&mut plain);
         op(&mut plain);

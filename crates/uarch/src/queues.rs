@@ -710,7 +710,7 @@ pub const SQ_BASE: u32 = sizes::LOAD_QUEUE as u32 * lqw::WORDS;
 ///
 /// The entry arrays are private: every read and full-word write from the
 /// pipeline's step path goes through the logged accessors below, which is
-/// what lets the word-parallel trial engine prove a flipped cell was never
+/// what lets the fast trial engine prove a flipped cell was never
 /// consumed. Observers (state walks, invariant checks, tests) use
 /// [`Lsq::peek_lq`] / [`Lsq::peek_sq`], which never log.
 #[derive(Debug, Clone)]
@@ -729,7 +729,7 @@ pub struct Lsq {
     pub sq_tail: u64,
     /// Store occupancy.
     pub sq_count: u64,
-    /// Word-granular access log for the sliced trial engine.
+    /// Word-granular access log for the fast trial engine.
     pub log: AccessLog,
 }
 
@@ -1194,9 +1194,7 @@ mod tests {
     fn fetch_queue_fifo_order() {
         let mut fq = FetchQueue::new();
         for i in 0..5u64 {
-            let mut p = SlotPayload::default();
-            p.pc = 0x1000 + i * 4;
-            fq.push(p);
+            fq.push(SlotPayload { pc: 0x1000 + i * 4, ..Default::default() });
         }
         assert_eq!(fq.len(), 5);
         for i in 0..5u64 {

@@ -34,7 +34,7 @@ pub struct PhysRegFile {
     ecc_stale: Vec<u64>,
     ecc_stale_count: u64,
     ecc_enabled: bool,
-    /// Word-granular access log for the sliced trial engine. Covers the
+    /// Word-granular access log for the fast trial engine. Covers the
     /// values, extra bits, and scoreboard; the ECC side state is untracked
     /// (flips there take the scalar path).
     pub log: AccessLog,

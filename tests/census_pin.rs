@@ -1,5 +1,5 @@
 //! External census pin: a small quick-preset campaign with overlapping
-//! golden windows, run on all three engines, must reproduce a checked-in
+//! golden windows, run on both engines, must reproduce a checked-in
 //! census and trial-event stream byte for byte.
 //!
 //! The engine and thread-count identity pins compare engines against each
@@ -94,9 +94,7 @@ fn every_engine_reproduces_the_pinned_census() {
     let pinned = std::fs::read_to_string(reference_path()).expect("read the pinned census");
     // Every trial of 2 benchmarks x 3 start points x 10 trials is pinned.
     assert_eq!(ladder.lines().filter(|l| l.starts_with('{')).count(), 2 * 3 * 10);
-    for (engine, got) in
-        [("ladder", ladder.clone()), ("sliced", run(Engine::Sliced)), ("pruned", run(Engine::Pruned))]
-    {
+    for (engine, got) in [("ladder", ladder.clone()), ("pruned", run(Engine::Pruned))] {
         if got != pinned {
             let first = got
                 .lines()

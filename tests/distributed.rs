@@ -134,10 +134,10 @@ fn distributed_census_and_event_stream_match_single_process() {
     let ref_census = census_of(&reference);
     let ref_events = strip_wall_clock(&sink.events());
 
-    // Two clean workers, one on the default pruned engine and one on the
-    // bit-sliced engine: the engine mix is an execution strategy,
-    // invisible in the merged results.
-    let mixed = Spawn { engine: Engine::Sliced, ..Spawn::clean() };
+    // Two clean workers, one on the default fast engine and one on the
+    // ladder: the engine mix is an execution strategy, invisible in the
+    // merged results.
+    let mixed = Spawn { engine: Engine::Ladder, ..Spawn::clean() };
     let (report, results) =
         cluster(&cfg, &wl, &short_leases(), None, vec![Spawn::clean(), mixed]);
     for r in results {
